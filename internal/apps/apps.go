@@ -42,7 +42,8 @@ type App struct {
 	// (1.0 = paper scale).
 	Run func(ctx *mpt.Ctx, scale float64) (any, error)
 	// Verify checks a rank-0 result (for procs ranks at the given scale)
-	// against the sequential reference.
+	// against the sequential reference. The references of jpeg and psrs
+	// are computed once per (app, scale) and shared by every check.
 	Verify func(value any, procs int, scale float64) error
 	// MinProcsDivisor constrains processor counts (FFT needs N%p == 0).
 	ValidProcs func(p int) bool
@@ -64,7 +65,14 @@ func Registry() []App {
 				if !ok {
 					return fmt.Errorf("jpeg: unexpected result type %T", v)
 				}
-				return jpeg.VerifyAgainstSequential(jpeg.DefaultConfig().Scaled(scale), res)
+				cfg := jpeg.DefaultConfig().Scaled(scale)
+				ref, err := reference(references, "jpeg", scale, func() (*jpeg.Reference, error) {
+					return jpeg.NewReference(cfg)
+				})
+				if err != nil {
+					return err
+				}
+				return jpeg.VerifyAgainst(cfg, ref, res)
 			},
 			ValidProcs: func(p int) bool { return p >= 1 },
 		},
@@ -118,7 +126,13 @@ func Registry() []App {
 				if !ok {
 					return fmt.Errorf("psrs: unexpected result type %T", v)
 				}
-				return psrs.VerifyAgainstSequential(psrs.DefaultConfig().Scaled(scale), res)
+				ref, err := reference(references, "psrs", scale, func() (*psrs.Result, error) {
+					return psrs.Sequential(psrs.DefaultConfig().Scaled(scale))
+				})
+				if err != nil {
+					return err
+				}
+				return psrs.VerifyAgainst(ref, res)
 			},
 			ValidProcs: func(p int) bool { return p >= 1 },
 		},

@@ -54,8 +54,12 @@ type Result struct {
 // result; it is both the 1-processor APL data point and the correctness
 // reference.
 func Sequential(cfg Config) (*Result, error) {
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
-	enc, err := Encode(img, cfg.Quality)
+	return compress(Synthetic(cfg.W, cfg.H, cfg.Seed), cfg.Quality)
+}
+
+// compress encodes img whole and measures the reconstruction quality.
+func compress(img *Image, quality int) (*Result, error) {
+	enc, err := Encode(img, quality)
 	if err != nil {
 		return nil, err
 	}
@@ -68,6 +72,24 @@ func Sequential(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return &Result{CompressedBytes: len(enc.Bits), PSNR: psnr, Bands: [][]byte{enc.Marshal()}}, nil
+}
+
+// Reference is what a parallel run is checked against: the sequential
+// result and the image it compressed. Nothing modifies a Reference once
+// it is built, so one can serve any number of concurrent checks.
+type Reference struct {
+	Seq *Result
+	Img *Image
+}
+
+// NewReference computes the sequential reference for cfg.
+func NewReference(cfg Config) (*Reference, error) {
+	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
+	seq, err := compress(img, cfg.Quality)
+	if err != nil {
+		return nil, err
+	}
+	return &Reference{Seq: seq, Img: img}, nil
 }
 
 // bandRows splits h rows into n near-equal bands of whole 8-row strips;
@@ -100,9 +122,11 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	n := ctx.Size()
 	rows := bandRows(cfg.H, n)
 
-	var myBand *Image
+	// Rank 0 keeps the image it scatters for the PSNR check at the end;
+	// Band copies, so no rank's band aliases it.
+	var img, myBand *Image
 	if ctx.Rank() == 0 {
-		img := Synthetic(cfg.W, cfg.H, cfg.Seed)
+		img = Synthetic(cfg.W, cfg.H, cfg.Seed)
 		// Distribution phase: host sends band i to rank i.
 		y := rows[0]
 		for r := 1; r < n; r++ {
@@ -158,7 +182,6 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	}
 	// Host verifies quality by decoding all bands (not charged: this is
 	// harness-side verification, not part of the benchmarked pipeline).
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
 	recon := NewImage(cfg.W, cfg.H)
 	y := 0
 	for _, b := range bands {
@@ -184,26 +207,22 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	return &Result{CompressedBytes: total - headerBytes, PSNR: psnr, Bands: bands}, nil
 }
 
-// VerifyAgainstSequential checks that the parallel result is equivalent
-// to the sequential reference: same reconstruction quality regime and,
-// band-for-band, identical bits to compressing those bands directly.
-func VerifyAgainstSequential(cfg Config, par *Result) error {
+// VerifyAgainst checks that the parallel result is equivalent to the
+// sequential reference ref (NewReference of the same cfg): same
+// reconstruction quality regime and, band-for-band, identical bits to
+// compressing those bands directly.
+func VerifyAgainst(cfg Config, ref *Reference, par *Result) error {
 	if par == nil {
 		return fmt.Errorf("jpeg: nil parallel result")
-	}
-	seq, err := Sequential(cfg)
-	if err != nil {
-		return err
 	}
 	if par.PSNR < 28 {
 		return fmt.Errorf("jpeg: parallel PSNR %.1f dB too low", par.PSNR)
 	}
-	if d := par.PSNR - seq.PSNR; d > 1.5 || d < -1.5 {
-		return fmt.Errorf("jpeg: PSNR diverged: parallel %.2f vs sequential %.2f", par.PSNR, seq.PSNR)
+	if d := par.PSNR - ref.Seq.PSNR; d > 1.5 || d < -1.5 {
+		return fmt.Errorf("jpeg: PSNR diverged: parallel %.2f vs sequential %.2f", par.PSNR, ref.Seq.PSNR)
 	}
 	// Band-level determinism: each band stream must equal an independent
 	// encode of that band.
-	img := Synthetic(cfg.W, cfg.H, cfg.Seed)
 	rows := bandRows(cfg.H, len(par.Bands))
 	y := 0
 	for i, b := range par.Bands {
@@ -214,7 +233,7 @@ func VerifyAgainstSequential(cfg Config, par *Result) error {
 			}
 			continue
 		}
-		want, err := Encode(img.Band(y, y+h), cfg.Quality)
+		want, err := Encode(ref.Img.Band(y, y+h), cfg.Quality)
 		if err != nil {
 			return err
 		}

@@ -29,10 +29,18 @@ func NewImage(w, h int) *Image {
 func Synthetic(w, h int, seed int64) *Image {
 	img := NewImage(w, h)
 	s := uint64(seed)*2862933555777941757 + 3037000493
+	// The wave term 48*sin(x/17.3)*cos(y/23.7) with its factors hoisted
+	// out of the loops; the product keeps its left-to-right order, on
+	// which the exact pixel values depend.
+	colSin := make([]float64, w)
+	for x := range colSin {
+		colSin[x] = 48 * math.Sin(float64(x)/17.3)
+	}
 	for y := 0; y < h; y++ {
+		rowCos := math.Cos(float64(y) / 23.7)
 		for x := 0; x < w; x++ {
 			v := 96 +
-				48*math.Sin(float64(x)/17.3)*math.Cos(float64(y)/23.7) +
+				colSin[x]*rowCos +
 				0.25*float64((x+y)%128)
 			if (x/64+y/64)%2 == 0 {
 				v += 24

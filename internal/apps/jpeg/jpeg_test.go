@@ -1,10 +1,16 @@
 package jpeg
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tooleval/internal/mpt"
+	"tooleval/internal/mpt/tools"
+	"tooleval/internal/platform"
 )
 
 func TestDCTRoundTrip(t *testing.T) {
@@ -240,5 +246,50 @@ func TestSyntheticDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical images")
+	}
+}
+
+// TestSyntheticPinned pins the synthetic images byte for byte: every
+// compressed size and PSNR in the paper's APL figures derives from them.
+func TestSyntheticPinned(t *testing.T) {
+	for _, c := range []struct {
+		w, h int
+		seed int64
+		sha  string
+	}{
+		{512, 512, 9, "c454427edfb484f292731bed119bef8cac7ab87e59910fb0e5d7968bd4bf1ee1"},
+		{64, 64, 9, "1adc9f2adb4f135bd8db0be6f2515a41acf54f4b5b0d87773adfad4680702607"},
+		{200, 136, 3, "4689faaafeceddb8459acaaf2317d162b34f10344c51d5ced5dde9b4519c0cdc"},
+	} {
+		sum := sha256.Sum256(Synthetic(c.w, c.h, c.seed).Pix)
+		if got := hex.EncodeToString(sum[:]); got != c.sha {
+			t.Errorf("Synthetic(%d, %d, %d): sha256 %s, want %s", c.w, c.h, c.seed, got, c.sha)
+		}
+	}
+}
+
+// BenchmarkJPEGParallel runs one paper-scale APL cell: JPEG at procs 4
+// over p4 on alpha-fddi.
+func BenchmarkJPEGParallel(b *testing.B) {
+	pf, err := platform.Get("alpha-fddi")
+	if err != nil {
+		b.Fatal(err)
+	}
+	factory, err := tools.Factory("p4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := mpt.Run(pf, factory, mpt.RunConfig{Procs: 4}, func(c *mpt.Ctx) (any, error) {
+			return Parallel(c, cfg)
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r, ok := res.Value.(*Result); !ok || len(r.Bands) != 4 {
+			b.Fatalf("unexpected result %#v", res.Value)
+		}
 	}
 }

@@ -9,7 +9,10 @@
 package psrs
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"tooleval/internal/mpt"
@@ -100,27 +103,32 @@ func payloadWord(key int64) uint64 {
 }
 
 // encodeRecords serializes records as 8-byte big-endian keys each
-// followed by recordBytes-8 payload bytes derived from the key.
+// followed by recordBytes-8 payload bytes derived from the key: the
+// payload word repeated little-endian, cut short at the record's end.
 func encodeRecords(keys []int64, recordBytes int) []byte {
 	if recordBytes < 8 {
 		recordBytes = 8
 	}
-	out := make([]byte, 0, len(keys)*recordBytes)
-	for _, k := range keys {
-		var kb [8]byte
-		for i := 0; i < 8; i++ {
-			kb[i] = byte(uint64(k) >> (56 - 8*i))
-		}
-		out = append(out, kb[:]...)
+	words := (recordBytes - 8) / 8
+	out := make([]byte, len(keys)*recordBytes)
+	for i, k := range keys {
+		rec := out[i*recordBytes : (i+1)*recordBytes]
+		binary.BigEndian.PutUint64(rec, uint64(k))
 		w := payloadWord(k)
-		for j := 0; j < recordBytes-8; j++ {
-			out = append(out, byte(w>>(8*(j%8))))
+		payload := rec[8:]
+		for j := 0; j < words; j++ {
+			binary.LittleEndian.PutUint64(payload[8*j:], w)
+		}
+		for j := 8 * words; j < len(payload); j++ {
+			payload[j] = byte(w >> (8 * (j % 8)))
 		}
 	}
 	return out
 }
 
 // decodeRecords reverses encodeRecords, verifying every payload byte.
+// A corrupt record is reported with the index of its first wrong
+// payload byte.
 func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
 	if recordBytes < 8 {
 		recordBytes = 8
@@ -128,17 +136,22 @@ func decodeRecords(data []byte, recordBytes int) ([]int64, error) {
 	if len(data)%recordBytes != 0 {
 		return nil, fmt.Errorf("psrs: record payload length %d not a multiple of %d", len(data), recordBytes)
 	}
+	words := (recordBytes - 8) / 8
 	keys := make([]int64, len(data)/recordBytes)
 	for i := range keys {
 		rec := data[i*recordBytes : (i+1)*recordBytes]
-		var k uint64
-		for j := 0; j < 8; j++ {
-			k = k<<8 | uint64(rec[j])
-		}
-		keys[i] = int64(k)
+		keys[i] = int64(binary.BigEndian.Uint64(rec))
 		w := payloadWord(keys[i])
-		for j := 0; j < recordBytes-8; j++ {
-			if rec[8+j] != byte(w>>(8*(j%8))) {
+		payload := rec[8:]
+		for j := 0; j < words; j++ {
+			if got := binary.LittleEndian.Uint64(payload[8*j:]); got != w {
+				// Little-endian: the lowest differing bit is in the
+				// first differing byte.
+				return nil, fmt.Errorf("psrs: record %d payload corrupted at byte %d", i, 8*j+bits.TrailingZeros64(got^w)/8)
+			}
+		}
+		for j := 8 * words; j < len(payload); j++ {
+			if payload[j] != byte(w>>(8*(j%8))) {
 				return nil, fmt.Errorf("psrs: record %d payload corrupted at byte %d", i, j)
 			}
 		}
@@ -159,7 +172,7 @@ func fingerprint(sorted []int64) (ordered, multiset uint64) {
 // Sequential sorts the whole input on one processor.
 func Sequential(cfg Config) (*Result, error) {
 	keys := generate(cfg, 0, 1)
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return summarize(keys, []int{len(keys)})
 }
 
@@ -192,7 +205,7 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 	keys := generate(cfg, me, p)
 
 	// Phase 1: local sort (real) + charge.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	n := float64(len(keys))
 	if len(keys) > 1 {
 		ctx.Charge(SortOpsPerKeyLog * n * log2(n))
@@ -232,7 +245,7 @@ func Parallel(ctx *mpt.Ctx, cfg Config) (*Result, error) {
 			}
 			all = append(all, s...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+		slices.Sort(all)
 		ctx.Charge(SortOpsPerKeyLog * float64(len(all)) * log2(float64(len(all))))
 		pivots = make([]int64, p-1)
 		for i := 1; i < p; i++ {
@@ -397,16 +410,14 @@ func mergeRuns(runs [][]int64) []int64 {
 	return out
 }
 
-// VerifyAgainstSequential checks that the distributed sort produced the
-// same multiset, in globally sorted order, with the same count and
-// extremes as the sequential sort.
-func VerifyAgainstSequential(cfg Config, par *Result) error {
+// VerifyAgainst checks that the distributed sort produced the same
+// multiset, in globally sorted order, with the same count and extremes
+// as the sequential reference seq (the result of Sequential for the
+// same Config). It only reads seq, so one reference can serve any
+// number of concurrent checks.
+func VerifyAgainst(seq, par *Result) error {
 	if par == nil {
 		return fmt.Errorf("psrs: nil parallel result")
-	}
-	seq, err := Sequential(cfg)
-	if err != nil {
-		return err
 	}
 	if par.Count != seq.Count {
 		return fmt.Errorf("psrs: count %d != %d", par.Count, seq.Count)
