@@ -77,8 +77,8 @@ type PhaseDone struct {
 // fn runs on whichever goroutine produced the event and must be safe
 // for concurrent use; it must not call back into the Session.
 //
-// WithEvents subsumes [WithProgress]: a progress callback is an event
-// sink that only sees [CellEvent]s.
+// A per-cell progress callback is a sink that type-asserts
+// [CellEvent] and ignores the rest.
 func WithEvents(fn func(Event)) Option {
 	return func(c *sessionConfig) {
 		if fn != nil {

@@ -40,8 +40,8 @@ func main() {
 		t := t
 		t.sess = tooleval.NewSession(
 			tooleval.WithParallelism(t.parallelism),
-			tooleval.WithProgress(func(ev tooleval.CellEvent) {
-				if !ev.Cached {
+			tooleval.WithEvents(func(ev tooleval.Event) {
+				if ce, ok := ev.(tooleval.CellEvent); ok && !ce.Cached {
 					t.cells.Add(1)
 				}
 			}),

@@ -90,6 +90,7 @@ const defaultStripes = 16
 // NewCache returns an empty, unbounded, single-stripe cell cache:
 // exact global LRU semantics, one lock. Use NewStripedCache when many
 // pools share the cache and the lock would become the bottleneck.
+// SetCapacity bounds either kind.
 func NewCache() *Cache { return NewStripedCache(1) }
 
 // NewStripedCache returns an empty, unbounded cache split into n
@@ -104,14 +105,6 @@ func NewStripedCache(n int) *Cache {
 	for i := range c.stripes {
 		c.stripes[i] = &stripe{m: make(map[Key]*entry), order: list.New()}
 	}
-	return c
-}
-
-// NewCacheWithCapacity returns an empty single-stripe cache bounded to
-// at most n memoized cells (LRU eviction). n <= 0 means unbounded.
-func NewCacheWithCapacity(n int) *Cache {
-	c := NewCache()
-	c.SetCapacity(n)
 	return c
 }
 

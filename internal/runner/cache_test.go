@@ -159,7 +159,8 @@ func TestCacheCapacityConcurrent(t *testing.T) {
 }
 
 func TestCacheResetKeepsCapacity(t *testing.T) {
-	c := NewCacheWithCapacity(2)
+	c := NewCache()
+	c.SetCapacity(2)
 	r := New(1, WithCache(c))
 	memo := func(i int) {
 		t.Helper()

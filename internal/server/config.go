@@ -63,9 +63,6 @@ type Config struct {
 	// Shards selects the sharded executor for tenant sessions (0 =
 	// single pool per tenant).
 	Shards int
-	// CacheStripes splits the shared cell cache into independently
-	// locked segments (0 = a sensible default for many tenants).
-	CacheStripes int
 	// CacheCapacity bounds the shared cache to n cells with LRU
 	// eviction (0 = unbounded).
 	CacheCapacity int
@@ -116,9 +113,6 @@ type Config struct {
 func (c *Config) Normalize() error {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
-	}
-	if c.CacheStripes <= 0 {
-		c.CacheStripes = 16
 	}
 	if c.MaxJobsRetained <= 0 {
 		c.MaxJobsRetained = 64

@@ -52,7 +52,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	cache := tooleval.NewStripedCache(cfg.CacheStripes)
+	cache := tooleval.NewStripedCache(0) // the default stripe count: many tenants share one cache
 	if cfg.CacheCapacity > 0 {
 		cache.SetCapacity(cfg.CacheCapacity)
 	}

@@ -41,19 +41,16 @@ func NewStripedCache(n int) *Cache { return runner.NewStripedCache(n) }
 // paper's evaluation matrix.
 type Cell = runner.Key
 
-// CellEvent reports one resolved simulation cell to a WithProgress
-// callback. Cached is true when the cell was served from the session's
-// memoization cache (or coalesced onto an in-flight computation)
-// instead of being simulated by this call.
+// CellEvent reports one resolved simulation cell to the session's
+// event sinks ([WithEvents], [EventContext]). Cached is true when the
+// cell was served from the session's memoization cache (or coalesced
+// onto an in-flight computation) instead of being simulated by this
+// call.
 type CellEvent struct {
 	Cell   Cell
 	Cached bool
 	Err    error
 }
-
-// ProgressFunc observes cell completions. It runs on whichever
-// goroutine resolved the cell and must be safe for concurrent use.
-type ProgressFunc func(CellEvent)
 
 // Session is one self-contained evaluation instance: it owns its
 // execution backend (an [Executor] — by default a worker pool with a
@@ -141,20 +138,6 @@ func WithTools(reg map[string]Factory) Option {
 			c.tools[name] = factory
 		}
 	}
-}
-
-// WithProgress installs fn as the session's per-cell progress
-// callback. It is [WithEvents] restricted to [CellEvent]s — the two
-// options compose, and either may repeat.
-func WithProgress(fn ProgressFunc) Option {
-	if fn == nil {
-		return func(*sessionConfig) {}
-	}
-	return WithEvents(func(ev Event) {
-		if ce, ok := ev.(CellEvent); ok {
-			fn(ce)
-		}
-	})
 }
 
 // NewSession builds an isolated evaluation session. With no options it

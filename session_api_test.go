@@ -236,7 +236,11 @@ func TestWithExecutorRoutesEverything(t *testing.T) {
 	var cells int
 	sess := tooleval.NewSession(
 		tooleval.WithExecutor(x),
-		tooleval.WithProgress(func(tooleval.CellEvent) { cells++ }), // serial backend: no mutex needed
+		tooleval.WithEvents(func(ev tooleval.Event) { // serial backend: no mutex needed
+			if _, ok := ev.(tooleval.CellEvent); ok {
+				cells++
+			}
+		}),
 	)
 	ctx := context.Background()
 	sizes := []int{0, 2 << 10}
@@ -332,7 +336,11 @@ func TestWithShardedExecutorMatchesSinglePool(t *testing.T) {
 	sess := tooleval.NewSession(
 		tooleval.WithShardedExecutor(4),
 		tooleval.WithParallelism(8),
-		tooleval.WithProgress(func(tooleval.CellEvent) { cells.Add(1) }),
+		tooleval.WithEvents(func(ev tooleval.Event) {
+			if _, ok := ev.(tooleval.CellEvent); ok {
+				cells.Add(1)
+			}
+		}),
 	)
 	if got := sess.Parallelism(); got != 8 {
 		t.Fatalf("Parallelism = %d, want 8 (4 shards × 2)", got)

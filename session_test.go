@@ -64,8 +64,10 @@ func TestSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	sess := tooleval.NewSession(
 		tooleval.WithParallelism(2),
-		tooleval.WithProgress(func(ev tooleval.CellEvent) {
-			cancel() // pull the plug as soon as the first cell resolves
+		tooleval.WithEvents(func(ev tooleval.Event) {
+			if _, ok := ev.(tooleval.CellEvent); ok {
+				cancel() // pull the plug as soon as the first cell resolves
+			}
 		}),
 	)
 	_, err := sess.Evaluate(ctx, tooleval.EndUserProfile(), 0.05)
@@ -97,40 +99,6 @@ func TestSessionCancelledBeforeStart(t *testing.T) {
 	}
 	if hits, misses := sess.Stats(); hits != 0 || misses != 0 {
 		t.Fatalf("cancelled session simulated: %d hits / %d misses", hits, misses)
-	}
-}
-
-// TestSetParallelismAtomicSwap: concurrent SetParallelism calls racing
-// with in-flight deprecated wrappers must be safe (-race) and leave a
-// coherent default session behind.
-func TestSetParallelismAtomicSwap(t *testing.T) {
-	// Leave a fresh default session behind for other tests.
-	//lint:ignore SA1019 the deprecated swap is this test's subject
-	defer tooleval.SetParallelism(0)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := 0; k < 3; k++ {
-				//lint:ignore SA1019 the deprecated swap is this test's subject
-				tooleval.SetParallelism(i%2 + 1)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			//lint:ignore SA1019 the deprecated wrapper is this test's subject
-			ms, err := tooleval.PingPong("sun-ethernet", "p4", []int{512 * i})
-			if err != nil || len(ms) != 1 {
-				t.Errorf("PingPong during swap: %v, %v", ms, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tooleval.DefaultSession().Parallelism(); got < 1 {
-		t.Fatalf("default session parallelism = %d after swaps", got)
 	}
 }
 
@@ -279,13 +247,17 @@ func mpiLite(env *tooleval.Env) (mpt.Tool, error) {
 	return p4.NewWithParams(env, par)
 }
 
-func TestWithProgressObservesCells(t *testing.T) {
+func TestWithEventsObservesCells(t *testing.T) {
 	var mu sync.Mutex
 	events := []tooleval.CellEvent{}
-	sess := tooleval.NewSession(tooleval.WithProgress(func(ev tooleval.CellEvent) {
+	sess := tooleval.NewSession(tooleval.WithEvents(func(ev tooleval.Event) {
+		ce, ok := ev.(tooleval.CellEvent)
+		if !ok {
+			return
+		}
 		mu.Lock()
 		defer mu.Unlock()
-		events = append(events, ev)
+		events = append(events, ce)
 	}))
 	sizes := []int{0, 2 << 10}
 	for i := 0; i < 2; i++ {

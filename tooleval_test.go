@@ -126,39 +126,30 @@ func TestProfileByName(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork keeps the compatibility surface
-// honest: the package-level functions must keep serving legacy callers
-// through the default session.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err := tooleval.PingPong("sun-ethernet", "p4", []int{1 << 10})
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("PingPong wrapper = %v, %v", ms, err)
-	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	res, err := tooleval.Run("sun-ethernet", "pvm", tooleval.RunConfig{Procs: 2},
-		func(c *tooleval.Ctx) (any, error) { return c.Rank(), nil })
-	if err != nil || res.Value.(int) != 0 {
-		t.Fatalf("Run wrapper = %+v, %v", res, err)
-	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	if hits, misses := tooleval.SchedulerStats(); hits < 0 || misses < 1 {
-		t.Fatalf("SchedulerStats = %d, %d; the wrapper calls above must have simulated", hits, misses)
-	}
-}
-
-// TestDeprecatedWrappersEmptySweep pins the legacy no-op contract: an
-// empty size list is an empty curve, not a validation error, even now
-// that the wrappers route through the ExperimentSpec batch surface.
-func TestDeprecatedWrappersEmptySweep(t *testing.T) {
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err := tooleval.PingPong("sun-ethernet", "p4", nil)
+// TestSessionEmptySweep pins the empty-sweep contract of the TPL
+// methods: an empty size list is an empty curve, not an error.
+func TestSessionEmptySweep(t *testing.T) {
+	sess := tooleval.NewSession()
+	ms, err := sess.PingPong(bg, "sun-ethernet", "p4", nil)
 	if err != nil || ms == nil || len(ms) != 0 {
 		t.Fatalf("PingPong(nil sizes) = %v, %v; want empty curve, nil error", ms, err)
 	}
-	//lint:ignore SA1019 the deprecated wrappers are this test's subject
-	ms, err = tooleval.GlobalSum("sun-ethernet", "p4", 4, []int{})
+	ms, err = sess.GlobalSum(bg, "sun-ethernet", "p4", 4, []int{})
 	if err != nil || ms == nil || len(ms) != 0 {
 		t.Fatalf("GlobalSum(no lens) = %v, %v; want empty curve, nil error", ms, err)
+	}
+	if hits, misses := sess.Stats(); hits != 0 || misses != 0 {
+		t.Fatalf("empty sweeps touched the cache: %d hits / %d misses", hits, misses)
+	}
+}
+
+// TestSessionRunReturnsRankZeroValue: Session.Run hands back rank 0's
+// return value and charges the run as a simulated cell.
+func TestSessionRunReturnsRankZeroValue(t *testing.T) {
+	sess := tooleval.NewSession()
+	res, err := sess.Run(bg, "sun-ethernet", "pvm", tooleval.RunConfig{Procs: 2},
+		func(c *tooleval.Ctx) (any, error) { return c.Rank(), nil })
+	if err != nil || res.Value.(int) != 0 {
+		t.Fatalf("Run = %+v, %v; want rank 0's value", res, err)
 	}
 }
