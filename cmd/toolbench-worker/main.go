@@ -4,8 +4,8 @@
 // Every cell is a pure function of its content key, so the worker
 // recomputes exactly what the coordinator would have computed locally
 // — results are byte-identical by construction — and memoizes by the
-// same key through a local pooled or sharded executor, optionally
-// backed by its own durable -store tier.
+// same key through a local worker pool, optionally backed by its own
+// durable -store tier.
 //
 // A coordinator running a different simulation-engine or wire-protocol
 // version is refused with a typed 409 — never answered with a result
@@ -48,7 +48,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("toolbench-worker", flag.ExitOnError)
 	addr := fs.String("addr", ":8701", "listen address")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "max concurrent simulations")
-	shards := fs.Int("shards", 0, "partition the workers into n hash-sharded pools (0 = single pool)")
 	storeDir := fs.String("store", "", "durable result store directory (empty = memory only; each worker needs its own)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight cells")
 	fs.Usage = func() {
@@ -65,17 +64,8 @@ func run(args []string) error {
 	if *jobs < 1 {
 		return fmt.Errorf("-j %d: need at least one worker", *jobs)
 	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards %d: need a non-negative shard count", *shards)
-	}
 
-	var x runner.Executor
-	if *shards > 0 {
-		per := (*jobs + *shards - 1) / *shards
-		x = runner.NewSharded(*shards, per)
-	} else {
-		x = runner.New(*jobs)
-	}
+	x := runner.New(*jobs)
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir, sim.EngineVersion)
 		if err != nil {

@@ -22,16 +22,12 @@
 //	             keeps every cell deterministic, so output is identical
 //	             at any -j; repeated cells (e.g. `all` followed by its
 //	             closing report) are memoized and simulate once.
-//	-shards n    partition the -j workers into n independent pools
-//	             hash-sharded by cell key over a striped cache (0 =
-//	             single pool). Output stays byte-identical; only lock
-//	             contention changes, so it pays off at high -j.
 //	-workers a,b distribute the sweep across toolbench-worker daemons at
 //	             the given host:port addresses, routing each cell by its
 //	             content key (rendezvous hashing). Output stays
 //	             byte-identical to a local run — even if a worker dies
-//	             mid-sweep (its cells fail over to survivors). Conflicts
-//	             with -shards; -j bounds the in-flight RPCs.
+//	             mid-sweep (its cells fail over to survivors). -j bounds
+//	             the in-flight RPCs.
 //	-progress    stream live figure/phase progress to stderr (one line
 //	             per table/figure starting and finishing). Stdout stays
 //	             byte-identical with and without it.
@@ -88,7 +84,6 @@ type config struct {
 	chart      bool
 	format     string
 	jobs       int
-	shards     int
 	workers    string
 	progress   bool
 	store      string
@@ -116,7 +111,6 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	fs.BoolVar(&cfg.chart, "chart", false, "render figures as ASCII charts instead of tables")
 	fs.StringVar(&cfg.format, "format", "text", `report rendering for report/all: "text" or "json"`)
 	fs.IntVar(&cfg.jobs, "j", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = serial)")
-	fs.IntVar(&cfg.shards, "shards", 0, "partition the workers into n hash-sharded pools (0 = single pool)")
 	fs.StringVar(&cfg.workers, "workers", "", "comma-separated toolbench-worker addresses to distribute the sweep across (host:port,host:port)")
 	fs.BoolVar(&cfg.progress, "progress", false, "stream live figure/phase progress to stderr")
 	fs.StringVar(&cfg.store, "store", "", "directory for the durable result store (a second run over an intact store re-simulates nothing)")
@@ -129,13 +123,7 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 	if cfg.jobs < 1 {
 		return fmt.Errorf("-j %d: need at least one worker", cfg.jobs)
 	}
-	if cfg.shards < 0 {
-		return fmt.Errorf("-shards %d: need a non-negative shard count", cfg.shards)
-	}
 	nodes := splitNodes(cfg.workers)
-	if len(nodes) > 0 && cfg.shards > 0 {
-		return fmt.Errorf("-workers conflicts with -shards: the remote executor routes cells across daemons, sharding routes them across local pools — pick one")
-	}
 	if cfg.format != "text" && cfg.format != "json" {
 		return fmt.Errorf("-format %q: want text or json", cfg.format)
 	}
@@ -173,9 +161,6 @@ func runIO(ctx context.Context, args []string, w, errw io.Writer) (err error) {
 		}()
 	}
 	opts := []tooleval.Option{tooleval.WithParallelism(cfg.jobs)}
-	if cfg.shards > 0 {
-		opts = append(opts, tooleval.WithShardedExecutor(cfg.shards))
-	}
 	if len(nodes) > 0 {
 		opts = append(opts, tooleval.WithRemoteExecutor(nodes...))
 	}

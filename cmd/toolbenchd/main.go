@@ -44,7 +44,6 @@ func run(args []string) error {
 	}
 	fs.StringVar(&cfg.Addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.Parallelism, "j", 0, "per-tenant worker parallelism (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.Shards, "shards", 0, "per-tenant sharded executor shards (0 = single pool)")
 	fs.IntVar(&cfg.CacheCapacity, "cache-cap", 0, "shared cache capacity in cells, LRU-evicted (0 = unbounded)")
 	fs.StringVar(&cfg.StoreDir, "store", "", "durable result store directory (empty = memory only)")
 	fs.DurationVar(&cfg.DrainTimeout, "drain-timeout", 0, "graceful drain deadline (0 = 30s)")

@@ -12,7 +12,7 @@ import (
 // implementation (selected by default, configured with
 // [WithParallelism] and [WithCache]) is an in-process bounded worker
 // pool over a memoization [Cache]; [WithExecutor] swaps in another
-// implementation — a sharded pool, a remote fleet — without the
+// implementation — a remote fleet, a test double — without the
 // Session layer changing.
 //
 // See the method contracts on the interface definition. The invariants
@@ -47,9 +47,9 @@ type QuotaError = runner.QuotaError
 // built-in worker pool. The executor owns parallelism, so
 // [WithParallelism] is ignored when this option is present;
 // [WithCacheCapacity] still applies (NewSession forwards it to the
-// executor's cache via SetCapacity), and combining [WithCache] or
-// [WithShardedExecutor] with this option makes NewSession panic — both
-// would silently contradict the executor the caller already built.
+// executor's cache via SetCapacity), and combining [WithCache] with
+// this option makes NewSession panic — it would silently contradict
+// the executor the caller already built.
 // Quota options still apply — budgets wrap any executor.
 //
 // An Executor instance must be dedicated to one session: NewSession
@@ -60,37 +60,15 @@ func WithExecutor(x Executor) Option {
 	return func(c *sessionConfig) { c.executor = x }
 }
 
-// WithShardedExecutor makes the session schedule through a sharded
-// in-process backend: n independent worker pools hash-partitioned by
-// cell key over one striped memoization cache, instead of a single
-// pool funneling every cell through one semaphore and one cache lock.
-// Virtual time keeps every cell deterministic, so results are
-// bit-identical to the single-pool (and serial) sweep — only lock and
-// semaphore contention changes.
-//
-// [WithParallelism] sets the total worker count, divided evenly across
-// the shards (rounded up, so the effective bound reported by
-// [Session.Parallelism] may exceed it by up to n-1). [WithCache] and
-// [WithCacheCapacity] compose as usual; for contention relief the
-// shared cache should be a striped one. n <= 0 keeps the default
-// single pool.
-func WithShardedExecutor(n int) Option {
-	return func(c *sessionConfig) {
-		if n > 0 {
-			c.shards = n
-		}
-	}
-}
-
 // WithRemoteExecutor distributes the session's sweep across worker
 // daemons (`toolbench-worker`) at the given addresses ("host:port" or
 // http:// URLs). Each cell is routed to a worker by rendezvous-hashing
-// its content key — the same FNV hash that picks cache stripes and
-// shards — and the worker recomputes it from the key alone; cells are
-// pure functions of their keys, so a distributed sweep is
-// byte-identical to a local one. Memoization, the optional
-// [WithResultStore] tier, quota budgets, and event observers all stay
-// on the coordinator; [WithParallelism] bounds the in-flight RPCs.
+// its content key — the same FNV hash that picks cache stripes — and
+// the worker recomputes it from the key alone; cells are pure
+// functions of their keys, so a distributed sweep is byte-identical to
+// a local one. Memoization, the optional [WithResultStore] tier, quota
+// budgets, and event observers all stay on the coordinator;
+// [WithParallelism] bounds the in-flight RPCs.
 //
 // Worker loss is survived mid-sweep: a failing node's cells fail over
 // to the next node in their rendezvous order, and after a few
@@ -100,9 +78,9 @@ func WithShardedExecutor(n int) Option {
 // mismatch fails the sweep with a [*RemoteVersionError] — never a
 // result computed under the wrong engine.
 //
-// Combining this option with [WithExecutor], [WithShardedExecutor], or
-// [WithTool] makes NewSession panic (custom tool factories exist only
-// in this process and cannot be evaluated remotely).
+// Combining this option with [WithExecutor] or [WithTool] makes
+// NewSession panic (custom tool factories exist only in this process
+// and cannot be evaluated remotely).
 func WithRemoteExecutor(nodes ...string) Option {
 	return func(c *sessionConfig) {
 		c.workers = append([]string(nil), nodes...)
@@ -151,8 +129,7 @@ func WithMaxVirtualTime(d time.Duration) Option {
 // n <= 0 means unbounded (the default — one evaluation matrix is
 // finite, so eviction only matters for long-lived shared caches).
 //
-// On a striped cache ([NewStripedCache], or the one a
-// [WithShardedExecutor] session builds) the bound is approximate: n is
+// On a striped cache ([NewStripedCache]) the bound is approximate: n is
 // divided evenly across the stripes (rounded up), each stripe runs its
 // own LRU over its share, and eviction order is per stripe rather than
 // global — the cache may hold up to stripes-1 cells more than n, and a

@@ -9,7 +9,7 @@ import (
 // NewDetWallTime builds the detwalltime analyzer: inside
 // determinism-critical packages, the virtual clock is the only time
 // source and seeded *rand.Rand the only randomness. Every sweep must be
-// byte-identical across serial, -j, -shards and -workers modes, and the
+// byte-identical across serial, -j and -workers modes, and the
 // fastest way to lose that is one stray time.Now() in a cost model or
 // one global rand.Intn in a workload generator.
 //

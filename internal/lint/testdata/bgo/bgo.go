@@ -42,7 +42,7 @@ func workerPool(workers int, items chan int) {
 	}
 }
 
-// cappedPool bounds through min(workers, n) — the mapIndices idiom.
+// cappedPool bounds through min(workers, n) — the Runner.Map idiom.
 func cappedPool(workers, n int) {
 	for i := 0; i < min(workers, n); i++ {
 		go work()

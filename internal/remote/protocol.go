@@ -1,12 +1,11 @@
 // Package remote distributes the evaluation sweep across worker
-// daemons. It is the third execution backend behind the
-// runner.Executor seam (after the bounded pool and the sharded
-// executor): the coordinator-side Remote routes each cell to a worker
-// by rendezvous-hashing the same FNV content hash that already picks
-// cache stripes and shards, and the worker recomputes the cell from
-// its key alone — cells are pure functions of their content key, so
-// results are location-transparent and a distributed sweep is
-// byte-identical to a serial one.
+// daemons. It is the second execution backend behind the
+// runner.Executor seam (after the bounded pool): the coordinator-side
+// Remote routes each cell to a worker by rendezvous-hashing the same
+// FNV content hash that already picks cache stripes, and the worker
+// recomputes the cell from its key alone — cells are pure functions of
+// their content key, so results are location-transparent and a
+// distributed sweep is byte-identical to a serial one.
 //
 // The wire protocol is deliberately small JSON-over-HTTP: one POST per
 // cell carrying the canonical key fields plus the coordinator's

@@ -26,7 +26,7 @@ type entry struct {
 
 // stripe is one independently locked segment of a Cache: its own map,
 // recency list, and capacity share. Striping is what keeps a cache
-// shared by many worker pools (the sharded executor) off a single hot
+// shared by many worker pools (a server's tenants) off a single hot
 // mutex — two cells in different stripes never contend.
 type stripe struct {
 	mu       sync.Mutex
@@ -96,7 +96,7 @@ func NewCache() *Cache { return NewStripedCache(1) }
 // NewStripedCache returns an empty, unbounded cache split into n
 // independently locked stripes. n < 1 selects a default (16). A
 // striped cache trades exact global LRU order for per-stripe LRU and
-// uncontended access — the right shape in front of a sharded executor.
+// uncontended access — the right shape for a cache many sessions share.
 func NewStripedCache(n int) *Cache {
 	if n < 1 {
 		n = defaultStripes
@@ -114,31 +114,19 @@ func (c *Cache) Stripes() int { return len(c.stripes) }
 
 // stripeFor picks the segment owning key. Single-stripe caches skip
 // the hash entirely — the default Runner never pays for striping it
-// does not use.
+// does not use. The hash is reduced to a stripe index with a
+// multiply-shift instead of a modulo: the stripe count is dynamic, so
+// % would be a hardware divide on the Memo hot path.
 func (c *Cache) stripeFor(key Key) *stripe {
-	if len(c.stripes) == 1 {
+	n := len(c.stripes)
+	if n == 1 {
 		return c.stripes[0]
 	}
-	return c.stripeAt(key.Hash())
+	return c.stripes[(key.Hash()&0xffffffff)*uint64(n)>>32]
 }
 
-// stripeAt picks the segment for a precomputed key hash, so callers
-// that already hashed the key (the sharded executor routes and stripes
-// off one hash) do not hash it twice.
-func (c *Cache) stripeAt(h uint64) *stripe {
-	return c.stripes[bucket(h, len(c.stripes))]
-}
-
-// bucket reduces a hash to [0, n) with a multiply-shift instead of a
-// modulo — n is dynamic, so % would be a hardware divide on the Memo
-// hot path.
-func bucket(h uint64, n int) int {
-	return int((h & 0xffffffff) * uint64(n) >> 32)
-}
-
-// fnv-1a over the canonical key fields. The same hash partitions keys
-// over cache stripes and over the sharded executor's pools, so a key's
-// stripe and shard are both pure functions of its content.
+// fnv-1a over the canonical key fields, so a key's stripe is a pure
+// function of its content.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -165,9 +153,9 @@ func fnvUint64(h, v uint64) uint64 {
 }
 
 // Hash is FNV-1a over the canonical key fields. One hash is the
-// content address everywhere: it partitions keys over cache stripes and
-// the sharded executor's pools, and the durable store records it per
-// cell as the key's fingerprint.
+// content address everywhere: it partitions keys over cache stripes,
+// routes them over remote workers, and the durable store records it
+// per cell as the key's fingerprint.
 func (k Key) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvString(h, k.Platform)

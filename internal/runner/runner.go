@@ -20,12 +20,10 @@
 //     (single-flight) rather than duplicating the simulation.
 //
 // The scheduler surface callers program against is the Executor
-// interface; Runner (the in-process bounded pool) is its default
-// implementation, NewSharded partitions the work over N independent
-// pools hash-keyed by cell (backed by a striped Cache), and NewQuota
-// wraps any Executor with per-session resource budgets. Remote
-// backends implement the same contract and slot in without the layers
-// above changing.
+// interface; Runner (the in-process bounded pool) is its one local
+// implementation, and NewQuota wraps any Executor with per-session
+// resource budgets. Remote backends implement the same contract and
+// slot in without the layers above changing.
 //
 // There is deliberately no process-global runner: every evaluation
 // session owns its Executor (and usually its Cache), so concurrent
@@ -110,8 +108,8 @@ type Observer func(ctx context.Context, key Key, cached bool, err error)
 // Executor is the execution-backend seam: the scheduler contract the
 // session layer and the bench harness program against. Runner is the
 // in-process implementation (a bounded worker pool over a memoization
-// Cache); sharded or remote executors implement the same contract and
-// slot in underneath without the layers above changing.
+// Cache); a remote executor implements the same contract and slots in
+// underneath without the layers above changing.
 type Executor interface {
 	// Memo resolves one memoized cell: it returns the cached value for
 	// key, or invokes compute (under an execution slot) and caches the
@@ -149,9 +147,8 @@ type Runner struct {
 
 var _ Executor = (*Runner)(nil)
 
-// execConfig is the option state shared by the executor constructors
-// (New, NewSharded): which cache to memoize into, what bound to put on
-// it, and the per-cell completion callback.
+// execConfig is the option state New resolves: which cache to memoize
+// into, what bound to put on it, and the per-cell completion callback.
 type execConfig struct {
 	cache       *Cache
 	cacheCap    int
@@ -159,7 +156,7 @@ type execConfig struct {
 	observe     Observer
 }
 
-// Option configures an executor under construction (New or NewSharded).
+// Option configures a Runner under construction (see New).
 type Option func(*execConfig)
 
 // WithCache makes the executor memoize into c instead of a fresh
@@ -188,16 +185,15 @@ func WithObserver(fn Observer) Option {
 	return func(cfg *execConfig) { cfg.observe = fn }
 }
 
-// resolve applies the options and materializes the cache, so every
-// constructor resolves the cache/capacity/observer triple identically.
-// newCache builds the default when WithCache was not given.
-func resolve(opts []Option, newCache func() *Cache) execConfig {
+// resolve applies the options and materializes the cache: a fresh
+// single-stripe one when WithCache was not given.
+func resolve(opts []Option) execConfig {
 	var cfg execConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	if cfg.cache == nil {
-		cfg.cache = newCache()
+		cfg.cache = NewCache()
 	}
 	if cfg.cacheCapSet {
 		cfg.cache.SetCapacity(cfg.cacheCap)
@@ -211,7 +207,7 @@ func New(workers int, opts ...Option) *Runner {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cfg := resolve(opts, NewCache)
+	cfg := resolve(opts)
 	return &Runner{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
@@ -266,14 +262,8 @@ func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
 // milliseconds of simulation). A ctx error is returned as-is and is
 // never cached.
 func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, error)) (float64, error) {
-	return r.memoOn(ctx, key, r.cache.stripeFor(key), compute)
-}
-
-// memoOn is Memo against a pre-resolved cache stripe: the sharded
-// executor routes pool and stripe off one key hash and hands the
-// stripe in directly.
-func (r *Runner) memoOn(ctx context.Context, key Key, st *stripe, compute func() (CellResult, error)) (float64, error) {
 	c := r.cache
+	st := c.stripeFor(key)
 	wait := func(e *entry) (float64, error) {
 		select {
 		case <-e.done:
@@ -402,29 +392,21 @@ func (r *Runner) Do(ctx context.Context, fn func() error) error {
 // launching new indices and Map returns ctx.Err() (indices already
 // running complete first).
 //
-// Map may nest (a figure fans out platform×tool jobs whose bodies fan
-// out sizes): only Memo's compute holds a pool token, so outer levels
-// never starve inner ones.
-func (r *Runner) Map(ctx context.Context, n int, fn func(i int) error) error {
-	return mapIndices(ctx, r.workers, n, fn)
-}
-
-// mapIndices is the ordered fan-out shared by every in-process
-// executor (Runner, Sharded): it implements the Map contract for a
-// backend whose concurrency bound is workers. With workers == 1 the
-// indices run serially in order on the calling goroutine.
+// At most Workers goroutines are launched regardless of n — a
+// generated 100k-cell sweep must not spawn 100k goroutines just to
+// funnel them through a 4-token semaphore. The goroutines dispatch
+// indices in ascending order from a shared counter, so index
+// assignment stays dense and the lowest-index-error rule means the
+// same thing it does serially.
 //
-// At most workers goroutines are launched regardless of n — a generated
-// 100k-cell sweep must not spawn 100k goroutines just to funnel them
-// through a 4-token semaphore. The goroutines dispatch indices in
-// ascending order from a shared counter, so index assignment stays
-// dense and the lowest-index-error rule means the same thing it does
-// serially. Nested Maps each bound their own level; only Memo computes
-// hold pool tokens, so the levels never starve each other.
-func mapIndices(ctx context.Context, workers, n int, fn func(i int) error) error {
+// Map may nest (a figure fans out platform×tool jobs whose bodies fan
+// out sizes): each level bounds its own goroutines and only Memo's
+// compute holds a pool token, so outer levels never starve inner ones.
+func (r *Runner) Map(ctx context.Context, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil // an empty sweep is a no-op even under a cancelled ctx
 	}
+	workers := r.workers
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {

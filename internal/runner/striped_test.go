@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// keysInStripe returns n distinct keys that all land in stripe want of
+// c — the in-package way to aim load at one cache stripe.
+func keysInStripe(c *Cache, want, n int) []Key {
+	keys := make([]Key, 0, n)
+	for size := 0; len(keys) < n; size++ {
+		k := Key{Bench: "pin", Size: size}
+		if c.stripeFor(k) == c.stripes[want] {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 func TestStripedCacheDefaults(t *testing.T) {
 	if got := NewCache().Stripes(); got != 1 {
 		t.Fatalf("NewCache().Stripes() = %d, want 1 (exact global LRU)", got)
@@ -71,7 +84,7 @@ func TestStripedCapacityDividedPerStripe(t *testing.T) {
 	}
 	// Four keys aimed at one stripe overflow its share of two even
 	// though the cache as a whole is nowhere near its total bound.
-	keys := keysInBucket(stripes, 0, 4)
+	keys := keysInStripe(c, 0, 4)
 	for _, k := range keys {
 		memo(k)
 	}
@@ -109,7 +122,7 @@ func TestStripedEvictionOrderAtStripeBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	keys := keysInBucket(stripes, 1, 3)
+	keys := keysInStripe(c, 1, 3)
 	memo(keys[0])
 	memo(keys[1])
 	memo(keys[0]) // touch key 0: key 1 becomes the stripe's LRU
@@ -132,7 +145,7 @@ func TestStripedInFlightNeverEvicted(t *testing.T) {
 	c := NewStripedCache(stripes)
 	c.SetCapacity(stripes) // 1 per stripe
 	r := New(4, WithCache(c))
-	keys := keysInBucket(stripes, 2, 4)
+	keys := keysInStripe(c, 2, 4)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan float64, 1)
@@ -187,7 +200,7 @@ func TestStripedCacheConcurrentCapacityResetMemo(t *testing.T) {
 	const stripes, capacity = 8, 32
 	c := NewStripedCache(stripes)
 	c.SetCapacity(capacity)
-	s := NewSharded(4, 2, WithCache(c))
+	r := New(8, WithCache(c))
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
@@ -195,7 +208,7 @@ func TestStripedCacheConcurrentCapacityResetMemo(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				key := Key{Bench: "striped-storm", Size: (g*13 + i) % 96}
-				v, err := s.Memo(bg, key, func() (CellResult, error) {
+				v, err := r.Memo(bg, key, func() (CellResult, error) {
 					return CellResult{Value: float64(key.Size)}, nil
 				})
 				if err != nil {
@@ -231,7 +244,7 @@ func TestStripedCacheConcurrentCapacityResetMemo(t *testing.T) {
 	// must respect capacity plus the rounding headroom (one per stripe).
 	c.SetCapacity(capacity)
 	for i := 0; i < 96; i++ {
-		if _, err := s.Memo(bg, Key{Bench: "striped-fill", Size: i}, func() (CellResult, error) {
+		if _, err := r.Memo(bg, Key{Bench: "striped-fill", Size: i}, func() (CellResult, error) {
 			return CellResult{Value: 1}, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -239,5 +252,43 @@ func TestStripedCacheConcurrentCapacityResetMemo(t *testing.T) {
 	}
 	if got := c.Len(); got > capacity+stripes {
 		t.Fatalf("Len = %d at quiesce, want <= capacity %d + per-stripe rounding %d", got, capacity, stripes)
+	}
+}
+
+func TestStripedMemoSingleFlight(t *testing.T) {
+	// Concurrent requests for one key on a striped cache coalesce onto
+	// a single compute, exactly as on the single-stripe default.
+	r := New(8, WithCache(NewStripedCache(16)))
+	key := Key{Bench: "sf-striped"}
+	var calls atomic.Int64
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := r.Memo(bg, key, func() (CellResult, error) {
+				calls.Add(1)
+				<-release
+				return CellResult{Value: 7}, nil
+			})
+			if err != nil || v != 7 {
+				t.Errorf("Memo = %v, %v", v, err)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("compute ran %d times under concurrent requests, want 1", got)
+	}
+	if _, err := r.Memo(bg, key, func() (CellResult, error) {
+		t.Error("cached cell recomputed")
+		return CellResult{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Misses != 1 || st.Hits < 16 {
+		t.Fatalf("Stats = %+v, want 1 miss and >= 16 hits", st)
 	}
 }

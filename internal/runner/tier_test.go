@@ -324,7 +324,7 @@ func TestCacheResetAndSetCapacityConcurrentWithTierFills(t *testing.T) {
 
 func TestMapBoundsGoroutineFanout(t *testing.T) {
 	// A generated 100k-cell sweep must not spawn 100k goroutines just to
-	// funnel them through a 4-token semaphore: mapIndices launches at
+	// funnel them through a 4-token semaphore: Map launches at
 	// most workers goroutines and feeds them from a shared counter.
 	const workers = 4
 	const n = 100_000

@@ -60,9 +60,6 @@ type Config struct {
 	// Parallelism bounds each tenant session's concurrent simulations
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// Shards selects the sharded executor for tenant sessions (0 =
-	// single pool per tenant).
-	Shards int
 	// CacheCapacity bounds the shared cache to n cells with LRU
 	// eviction (0 = unbounded).
 	CacheCapacity int

@@ -52,7 +52,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	cache := tooleval.NewStripedCache(0) // the default stripe count: many tenants share one cache
+	cache := tooleval.NewStripedCache() // many tenants share one cache
 	if cfg.CacheCapacity > 0 {
 		cache.SetCapacity(cfg.CacheCapacity)
 	}
@@ -93,9 +93,6 @@ func (s *Server) buildTenant(id string, gen int64) *tenant {
 	opts := []tooleval.Option{tooleval.WithCache(s.cache)}
 	if s.cfg.Parallelism > 0 {
 		opts = append(opts, tooleval.WithParallelism(s.cfg.Parallelism))
-	}
-	if s.cfg.Shards > 0 {
-		opts = append(opts, tooleval.WithShardedExecutor(s.cfg.Shards))
 	}
 	if tier.MaxCells > 0 {
 		opts = append(opts, tooleval.WithMaxCells(int(tier.MaxCells)))

@@ -97,10 +97,6 @@ func TestWithRemoteExecutorConflicts(t *testing.T) {
 			tooleval.WithExecutor(runner.New(2)),
 			tooleval.WithRemoteExecutor("localhost:1"),
 		}},
-		{"with sharded", []tooleval.Option{
-			tooleval.WithShardedExecutor(4),
-			tooleval.WithRemoteExecutor("localhost:1"),
-		}},
 		{"with custom tool", []tooleval.Option{
 			tooleval.WithTool("mine", nil),
 			tooleval.WithRemoteExecutor("localhost:1"),

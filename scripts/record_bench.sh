@@ -1,7 +1,7 @@
 #!/bin/sh
 # record_bench.sh LABEL [COUNT] — run the figure benchmarks, the
 # internal/sim engine microbenchmarks, and the internal/runner
-# scheduler-contention benchmarks, and record ns/op, B/op and allocs/op
+# scheduler-contention benchmark, and record ns/op, B/op and allocs/op
 # under the given label (see scripts/benchjson). COUNT is the
 # -benchtime for the microbenchmarks (default 20x; the figure
 # benchmarks always run 1x so the first — and only — iteration actually
@@ -13,7 +13,7 @@
 # anything after it) writes BENCH_PR9.json, seeded from the PR 6
 # ledger — each file carries the full seed..prN progression.
 #
-# The contention benchmarks run at -cpu 4 so the serial/pooled/sharded
+# The contention benchmark runs at -cpu 4 so the serial/pooled/striped
 # comparison actually contends even when GOMAXPROCS defaults low.
 #
 # Usage, from the repository root:
@@ -55,7 +55,7 @@ echo "record_bench: figure + store + remote benchmarks (-benchtime=1x)" >&2
 go test -run=NoSuchTest -bench='Table|Fig|ADL|Store|Remote' -benchmem -benchtime=1x . >"$tmp"
 echo "record_bench: sim microbenchmarks (-benchtime=$count)" >&2
 go test -run=NoSuchTest -bench=. -benchmem -benchtime="$count" ./internal/sim >>"$tmp"
-echo "record_bench: scheduler contention benchmarks (-cpu 4)" >&2
-go test -run=NoSuchTest -bench='MemoContention|ShardedSweep' -benchmem -benchtime=2s -cpu 4 ./internal/runner >>"$tmp"
+echo "record_bench: scheduler contention benchmark (-cpu 4)" >&2
+go test -run=NoSuchTest -bench='MemoContention' -benchmem -benchtime=2s -cpu 4 ./internal/runner >>"$tmp"
 
 go run ./scripts/benchjson -label "$label" -out "$out" <"$tmp"

@@ -3,7 +3,6 @@ package tooleval
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"tooleval/internal/bench"
@@ -30,12 +29,12 @@ type Cache = runner.Cache
 // NewCache returns an empty cell cache for use with WithCache.
 func NewCache() *Cache { return runner.NewCache() }
 
-// NewStripedCache returns an empty cell cache split into n
-// independently locked segments (n < 1 selects a default). Same
-// sharing contract as NewCache; prefer it when many sessions or a
-// sharded executor hammer one shared cache, where a single cache lock
-// would serialize them.
-func NewStripedCache(n int) *Cache { return runner.NewStripedCache(n) }
+// NewStripedCache returns an empty cell cache split into 16
+// independently locked segments. Same sharing contract as NewCache;
+// prefer it when many concurrent sessions share one cache (a
+// multi-tenant server), where a single cache lock would serialize
+// them.
+func NewStripedCache() *Cache { return runner.NewStripedCache(0) }
 
 // Cell identifies one memoized simulation cell — one entry of the
 // paper's evaluation matrix.
@@ -80,7 +79,6 @@ type Session struct {
 
 type sessionConfig struct {
 	parallelism int
-	shards      int
 	cache       *Cache
 	cacheCap    int
 	cacheCapSet bool
@@ -146,24 +144,20 @@ func WithTools(reg map[string]Factory) Option {
 // sinks.
 //
 // NewSession panics on genuinely conflicting option combinations —
-// [WithCache] or [WithShardedExecutor] alongside [WithExecutor] — a
-// configuration bug that previously was silently dropped.
+// [WithCache] alongside [WithExecutor], for one — rather than silently
+// dropping one of them.
 func NewSession(opts ...Option) *Session {
 	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	x := cfg.executor
-	switch {
-	case x != nil:
+	if x != nil {
 		// The executor was built by the caller, cache included: a second
 		// cache cannot be installed after the fact, so combining the two
 		// options is a configuration bug, not a preference to drop.
 		if cfg.cache != nil {
 			panic("tooleval: WithCache conflicts with WithExecutor — the executor owns its cache; build the executor over the shared cache instead")
-		}
-		if cfg.shards > 0 {
-			panic("tooleval: WithShardedExecutor conflicts with WithExecutor — they both pick the execution backend")
 		}
 		if len(cfg.workers) > 0 {
 			panic("tooleval: WithRemoteExecutor conflicts with WithExecutor — they both pick the execution backend")
@@ -176,13 +170,12 @@ func NewSession(opts ...Option) *Session {
 		if cfg.cacheCapSet {
 			x.Cache().SetCapacity(cfg.cacheCap)
 		}
-	case cfg.shards > 0:
-		if len(cfg.workers) > 0 {
-			panic("tooleval: WithRemoteExecutor conflicts with WithShardedExecutor — they both pick the execution backend")
+	} else {
+		ropts := []runner.Option{runner.WithCache(cfg.cache)}
+		if cfg.cacheCapSet {
+			ropts = append(ropts, runner.WithCacheCapacity(cfg.cacheCap))
 		}
-		x = runner.NewSharded(cfg.shards, shardWorkers(cfg.parallelism, cfg.shards), cfg.runnerOptions()...)
-	default:
-		x = runner.New(cfg.parallelism, cfg.runnerOptions()...)
+		x = runner.New(cfg.parallelism, ropts...)
 	}
 	if len(cfg.workers) > 0 && len(cfg.tools) > 0 {
 		// A custom factory exists only in this process's registry; a
@@ -252,34 +245,6 @@ func NewSession(opts ...Option) *Session {
 		PhaseDone:  func(ctx context.Context, id string, err error) { s.emit(ctx, PhaseDone{Phase: id, Err: err}) },
 	})
 	return s
-}
-
-// runnerOptions translates the session's cache configuration into
-// executor construction options (shared by the pooled and sharded
-// backends).
-func (c *sessionConfig) runnerOptions() []runner.Option {
-	ropts := make([]runner.Option, 0, 2)
-	if c.cache != nil {
-		ropts = append(ropts, runner.WithCache(c.cache))
-	}
-	if c.cacheCapSet {
-		ropts = append(ropts, runner.WithCacheCapacity(c.cacheCap))
-	}
-	return ropts
-}
-
-// shardWorkers divides the session's total parallelism bound across
-// the shards, rounding up so every shard gets at least one worker
-// (total < 1 selects GOMAXPROCS, like WithParallelism).
-func shardWorkers(total, shards int) int {
-	if total < 1 {
-		total = runtime.GOMAXPROCS(0)
-	}
-	per := (total + shards - 1) / shards
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // emit fans an event out to every session sink, plus the per-batch

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,9 +300,9 @@ func TestWithExecutorAppliesCacheCapacity(t *testing.T) {
 	}
 }
 
-// TestWithExecutorConflictsPanic: combining WithCache (or
-// WithShardedExecutor) with WithExecutor is a configuration bug that
-// must fail loudly at construction, not be silently ignored.
+// TestWithExecutorConflictsPanic: combining WithCache with
+// WithExecutor is a configuration bug that must fail loudly at
+// construction, not be silently ignored.
 func TestWithExecutorConflictsPanic(t *testing.T) {
 	mustPanic := func(name string, build func()) {
 		t.Helper()
@@ -321,68 +320,17 @@ func TestWithExecutorConflictsPanic(t *testing.T) {
 	mustPanic("WithCache+WithExecutor", func() {
 		tooleval.NewSession(tooleval.WithExecutor(runner.New(1)), tooleval.WithCache(tooleval.NewCache()))
 	})
-	mustPanic("WithShardedExecutor+WithExecutor", func() {
-		tooleval.NewSession(tooleval.WithExecutor(runner.New(1)), tooleval.WithShardedExecutor(4))
-	})
 }
 
-// TestWithShardedExecutorMatchesSinglePool: the sharded backend is a
-// drop-in — same results, same memoization behavior, budgets and events
-// still apply — only the scheduling topology changes.
-func TestWithShardedExecutorMatchesSinglePool(t *testing.T) {
+// TestStripedCacheSharedAcrossSessions: a striped cache (the shape a
+// multi-tenant server shares) pools results between sessions of
+// different parallelism exactly like the single-stripe default.
+func TestStripedCacheSharedAcrossSessions(t *testing.T) {
 	ctx := context.Background()
-	sizes := []int{0, 1 << 10, 4 << 10}
-	var cells atomic.Int64
-	sess := tooleval.NewSession(
-		tooleval.WithShardedExecutor(4),
-		tooleval.WithParallelism(8),
-		tooleval.WithEvents(func(ev tooleval.Event) {
-			if _, ok := ev.(tooleval.CellEvent); ok {
-				cells.Add(1)
-			}
-		}),
-	)
-	if got := sess.Parallelism(); got != 8 {
-		t.Fatalf("Parallelism = %d, want 8 (4 shards × 2)", got)
-	}
-	times, err := sess.PingPong(ctx, "sun-ethernet", "p4", sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reference, err := tooleval.NewSession(tooleval.WithParallelism(1)).PingPong(ctx, "sun-ethernet", "p4", sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range times {
-		if times[i] != reference[i] {
-			t.Fatalf("sharded backend diverged from serial: %v vs %v", times, reference)
-		}
-	}
-	if got := cells.Load(); got != int64(len(sizes)) {
-		t.Fatalf("events through sharded backend: %d cells, want %d", got, len(sizes))
-	}
-	// Replays are hits on the shared striped cache.
-	if _, err := sess.PingPong(ctx, "sun-ethernet", "p4", sizes); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := sess.Stats(); hits != int64(len(sizes)) || misses != int64(len(sizes)) {
-		t.Fatalf("sharded Stats = %d hits / %d misses, want %d/%d", hits, misses, len(sizes), len(sizes))
-	}
-	// Quotas wrap the sharded backend like any executor.
-	limited := tooleval.NewSession(tooleval.WithShardedExecutor(2), tooleval.WithMaxCells(1))
-	if _, err := limited.PingPong(ctx, "sun-ethernet", "p4", sizes); !errors.Is(err, tooleval.ErrQuotaExceeded) {
-		t.Fatalf("quota over sharded executor = %v, want ErrQuotaExceeded", err)
-	}
-}
-
-// TestWithShardedExecutorSharesCache: a shared (striped) cache pools
-// results between a sharded session and a single-pool session.
-func TestWithShardedExecutorSharesCache(t *testing.T) {
-	ctx := context.Background()
-	cache := tooleval.NewStripedCache(8)
+	cache := tooleval.NewStripedCache()
 	sizes := []int{0, 2 << 10}
-	sharded := tooleval.NewSession(tooleval.WithShardedExecutor(2), tooleval.WithCache(cache))
-	if _, err := sharded.PingPong(ctx, "sun-ethernet", "p4", sizes); err != nil {
+	first := tooleval.NewSession(tooleval.WithParallelism(4), tooleval.WithCache(cache))
+	if _, err := first.PingPong(ctx, "sun-ethernet", "p4", sizes); err != nil {
 		t.Fatal(err)
 	}
 	pooled := tooleval.NewSession(tooleval.WithParallelism(2), tooleval.WithCache(cache))
