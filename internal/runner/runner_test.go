@@ -154,31 +154,27 @@ func TestMemoPanickingComputeReleasesResources(t *testing.T) {
 }
 
 func TestSharedCachePoolsResults(t *testing.T) {
-	// Two Runners with different bounds over one cache pool their
-	// results, whether the cache is the single-stripe default or the
-	// striped shape a server shares across tenants.
-	for _, cache := range []*Cache{NewCache(), NewStripedCache(8)} {
-		a := New(2, WithCache(cache))
-		b := New(4, WithCache(cache))
-		key := Key{Bench: "shared"}
-		var calls atomic.Int64
-		compute := func() (CellResult, error) { calls.Add(1); return CellResult{Value: 9}, nil }
-		if _, err := a.Memo(bg, key, compute); err != nil {
-			t.Fatal(err)
-		}
-		v, err := b.Memo(bg, key, compute)
-		if err != nil || v != 9 {
-			t.Fatalf("%d stripes: Memo via second runner = %v, %v", cache.Stripes(), v, err)
-		}
-		if calls.Load() != 1 {
-			t.Fatalf("%d stripes: shared cache recomputed: %d calls", cache.Stripes(), calls.Load())
-		}
-		if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
-			t.Fatalf("%d stripes: shared cache stats = %+v, want 1 hit / 1 miss", cache.Stripes(), st)
-		}
-		if cache.Len() != 1 {
-			t.Fatalf("%d stripes: cache holds %d cells, want 1", cache.Stripes(), cache.Len())
-		}
+	cache := NewCache()
+	a := New(2, WithCache(cache))
+	b := New(4, WithCache(cache))
+	key := Key{Bench: "shared"}
+	var calls atomic.Int64
+	compute := func() (CellResult, error) { calls.Add(1); return CellResult{Value: 9}, nil }
+	if _, err := a.Memo(bg, key, compute); err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Memo(bg, key, compute)
+	if err != nil || v != 9 {
+		t.Fatalf("Memo via second runner = %v, %v", v, err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("shared cache recomputed: %d calls", calls.Load())
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("shared cache stats = %+v, want 1 hit / 1 miss", st)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("cache holds %d cells, want 1", cache.Len())
 	}
 }
 

@@ -292,3 +292,33 @@ func TestStripedMemoSingleFlight(t *testing.T) {
 		t.Fatalf("Stats = %+v, want 1 miss and >= 16 hits", st)
 	}
 }
+
+func TestStripedCacheSharedAcrossRunners(t *testing.T) {
+	// A striped cache handed to two Runners with different bounds — the
+	// shape a server shares across tenants — pools their results.
+	cache := NewStripedCache(8)
+	a := New(2, WithCache(cache))
+	b := New(4, WithCache(cache))
+	if a.Cache() != cache || b.Cache() != cache {
+		t.Fatal("WithCache not honored by New")
+	}
+	key := Key{Bench: "pooled"}
+	var calls atomic.Int64
+	compute := func() (CellResult, error) { calls.Add(1); return CellResult{Value: 9}, nil }
+	if _, err := a.Memo(bg, key, compute); err != nil {
+		t.Fatal(err)
+	}
+	v, err := b.Memo(bg, key, compute)
+	if err != nil || v != 9 {
+		t.Fatalf("Memo via second runner over striped cache = %v, %v", v, err)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("shared striped cache recomputed: %d calls", calls.Load())
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("shared striped cache stats = %+v, want 1 hit / 1 miss", st)
+	}
+	if cache.Len() != 1 {
+		t.Fatalf("striped cache holds %d cells, want 1", cache.Len())
+	}
+}
