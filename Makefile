@@ -5,7 +5,7 @@ GO ?= go
 # version requires.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos bench-smoke bench-baseline
+.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz bench-smoke bench-baseline
 
 build:
 	$(GO) build ./...
@@ -64,10 +64,15 @@ chaos:
 	$(GO) test -race -short -run TestChaos ./...
 	$(GO) test -race -run TestChaos ./...
 
+# fuzz is the local mirror of CI's fuzz job: every Fuzz* target for
+# 10s each (scripts/fuzz_smoke.sh).
+fuzz:
+	./scripts/fuzz_smoke.sh
+
 # bench-smoke compiles and runs every benchmark for exactly one
 # iteration — the CI guard against benchmark bit-rot — plus one
 # multi-threaded pass of the scheduler-contention benchmark (its
-# serial/pooled/striped comparison is meaningless single-threaded).
+# serial/pooled comparison is meaningless single-threaded).
 bench-smoke:
 	$(GO) test -run=NoSuchTest -bench=. -benchtime=1x ./...
 	$(GO) test -run=NoSuchTest -bench='MemoContention' -benchtime=1x -cpu 4 ./internal/runner

@@ -45,12 +45,11 @@ type QuotaError = runner.QuotaError
 
 // WithExecutor makes the session schedule through x instead of the
 // built-in worker pool. The executor owns parallelism, so
-// [WithParallelism] is ignored when this option is present;
-// [WithCacheCapacity] still applies (NewSession forwards it to the
-// executor's cache via SetCapacity), and combining [WithCache] with
-// this option makes NewSession panic — it would silently contradict
-// the executor the caller already built.
-// Quota options still apply — budgets wrap any executor.
+// [WithParallelism] is ignored when this option is present, and
+// combining [WithCache] with this option makes NewSession panic — it
+// would silently contradict the executor the caller already built. To
+// bound the executor's cache, call SetCapacity on it. Quota options
+// still apply — budgets wrap any executor.
 //
 // An Executor instance must be dedicated to one session: NewSession
 // installs the session's cell observer on it, so handing the same
@@ -63,12 +62,12 @@ func WithExecutor(x Executor) Option {
 // WithRemoteExecutor distributes the session's sweep across worker
 // daemons (`toolbench-worker`) at the given addresses ("host:port" or
 // http:// URLs). Each cell is routed to a worker by rendezvous-hashing
-// its content key — the same FNV hash that picks cache stripes — and
-// the worker recomputes it from the key alone; cells are pure
-// functions of their keys, so a distributed sweep is byte-identical to
-// a local one. Memoization, the optional [WithResultStore] tier, quota
-// budgets, and event observers all stay on the coordinator;
-// [WithParallelism] bounds the in-flight RPCs.
+// its content key — the same FNV hash the durable store records per
+// cell — and the worker recomputes it from the key alone; cells are
+// pure functions of their keys, so a distributed sweep is
+// byte-identical to a local one. Memoization, the optional
+// [WithResultStore] tier, quota budgets, and event observers all stay
+// on the coordinator; [WithParallelism] bounds the in-flight RPCs.
 //
 // Worker loss is survived mid-sweep: a failing node's cells fail over
 // to the next node in their rendezvous order, and after a few
@@ -98,13 +97,13 @@ type RemoteVersionError = remote.VersionError
 
 // WithMaxCells caps how many cells the session may simulate. Cache
 // hits are free: only simulations actually executed are charged — each
-// miss, and each direct run ([Session.Run], [Session.RunWithFactory],
-// [Session.TraceRun]) — so a session replaying memoized results is not
-// billed for them. Once the budget is spent, every further cell — hit
-// or miss — fails with a [*QuotaError] matching [ErrQuotaExceeded].
-// Budgets are checked before a cell is scheduled, so the session can
-// overshoot by at most its parallelism bound (cells already in flight
-// complete and are charged). n <= 0 means unlimited.
+// miss, and each direct run ([Session.Run], [Session.TraceRun]) — so
+// a session replaying memoized results is not billed for them. Once
+// the budget is spent, every further cell — hit or miss — fails with a
+// [*QuotaError] matching [ErrQuotaExceeded]. Budgets are checked
+// before a cell is scheduled, so the session can overshoot by at most
+// its parallelism bound (cells already in flight complete and are
+// charged). n <= 0 means unlimited.
 //
 // Quota errors are never memoized: a shared [Cache] is not poisoned by
 // one tenant's exhausted budget.
@@ -119,24 +118,4 @@ func WithMaxCells(n int) Option {
 // virtual-time report through the executor). d <= 0 means unlimited.
 func WithMaxVirtualTime(d time.Duration) Option {
 	return func(c *sessionConfig) { c.limits.MaxVirtualTime = d }
-}
-
-// WithCacheCapacity bounds the session's memoization cache to at most
-// n cells, evicting the least recently used when full. Evicted cells
-// are re-simulated on the next request — correct, since cells are
-// deterministic. Combined with [WithCache] it (re)configures the
-// shared cache; without it, it bounds the session's private cache.
-// n <= 0 means unbounded (the default — one evaluation matrix is
-// finite, so eviction only matters for long-lived shared caches).
-//
-// On a striped cache ([NewStripedCache]) the bound is approximate: n is
-// divided evenly across the stripes (rounded up), each stripe runs its
-// own LRU over its share, and eviction order is per stripe rather than
-// global — the cache may hold up to stripes-1 cells more than n, and a
-// stripe whose keys cluster may evict while the whole cache is under
-// n. Single-stripe caches (the default) keep the exact global bound.
-func WithCacheCapacity(n int) Option {
-	return func(c *sessionConfig) {
-		c.cacheCap, c.cacheCapSet = n, true
-	}
 }

@@ -9,7 +9,6 @@ import (
 	"tooleval/internal/mpt"
 	"tooleval/internal/mpt/tools"
 	"tooleval/internal/platform"
-	"tooleval/internal/runner"
 )
 
 // TestTPLDeterministicUnderParallelism is the core determinism
@@ -110,41 +109,6 @@ func TestAPLDeterministicUnderParallelism(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStripedEvaluateMemoizesAcrossSweeps repeats the `toolbench all`
-// → report cache property over a striped cache (the shape toolbenchd
-// gives every tenant): it must coalesce the report's cells onto the
-// sweep's exactly like the single-stripe cache does.
-func TestStripedEvaluateMemoizesAcrossSweeps(t *testing.T) {
-	const scale = 0.05
-	h := NewHarness(runner.New(4, runner.WithCache(runner.NewStripedCache(0))))
-	if _, err := h.Table3(bgCtx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig2(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig3(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Fig4(bgCtx, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := h.APLFigure(bgCtx, ExpFig8, scale); err != nil {
-		t.Fatal(err)
-	}
-	after := h.Executor().Stats()
-	if after.Misses == 0 {
-		t.Fatal("striped sweep simulated nothing — stats wiring broken")
-	}
-	if _, err := h.Evaluate(bgCtx, core.EndUserProfile(), scale); err != nil {
-		t.Fatal(err)
-	}
-	final := h.Executor().Stats()
-	if final.Misses != after.Misses {
-		t.Fatalf("Evaluate re-simulated %d cells that were already in the striped cache", final.Misses-after.Misses)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -15,8 +16,16 @@ func TestTable3AgainstPaper(t *testing.T) {
 	}
 	// Every simulated curve must stay within a factor band of the
 	// paper's published value at every size — the reproduction's
-	// headline calibration guarantee.
-	const maxRatio = 2.0
+	// headline calibration guarantee — and the geometric mean of the
+	// per-cell error max(sim/paper, paper/sim) must stay under its own
+	// bound. Both bounds are a ratchet: they sit just above the measured
+	// worst cell (1.786x) and geometric mean (1.189x) and may only
+	// tighten.
+	const (
+		maxRatio   = 1.85
+		maxGeomean = 1.20
+	)
+	logSum, cells := 0.0, 0
 	for _, net := range []string{"ethernet", "atm-lan", "atm-wan"} {
 		for tool, sim := range t3.TimesMs[net] {
 			paper, ok := paperdata.Table3[tool][net]
@@ -29,8 +38,16 @@ func TestTable3AgainstPaper(t *testing.T) {
 					t.Errorf("%s/%s @%dKB: sim %.2f vs paper %.2f (ratio %.2f)",
 						net, tool, t3.SizesBytes[i]/1024, sim[i], paper[i], ratio)
 				}
+				logSum += math.Abs(math.Log(ratio))
+				cells++
 			}
 		}
+	}
+	if cells == 0 {
+		t.Fatal("Table 3 has no cells to compare")
+	}
+	if geo := math.Exp(logSum / float64(cells)); geo > maxGeomean {
+		t.Errorf("geometric-mean error over %d cells = %.4fx, want <= %.2fx", cells, geo, maxGeomean)
 	}
 }
 

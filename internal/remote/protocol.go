@@ -2,7 +2,7 @@
 // daemons. It is the second execution backend behind the
 // runner.Executor seam (after the bounded pool): the coordinator-side
 // Remote routes each cell to a worker by rendezvous-hashing the same
-// FNV content hash that already picks cache stripes, and the worker
+// FNV content hash the durable store records per cell, and the worker
 // recomputes the cell from its key alone — cells are pure functions of
 // their content key, so results are location-transparent and a
 // distributed sweep is byte-identical to a serial one.

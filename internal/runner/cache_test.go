@@ -8,8 +8,9 @@ import (
 )
 
 func TestCacheCapacityEvictsLRU(t *testing.T) {
-	r := New(1, WithCacheCapacity(2))
+	r := New(1)
 	c := r.Cache()
+	c.SetCapacity(2)
 	if c.Capacity() != 2 {
 		t.Fatalf("Capacity = %d, want 2", c.Capacity())
 	}
@@ -70,8 +71,9 @@ func TestCacheSetCapacityShrinksImmediately(t *testing.T) {
 func TestCacheCapacitySkipsInFlight(t *testing.T) {
 	// An in-flight cell must never be evicted (waiters are coalesced
 	// onto it), even when insertions push the cache past capacity.
-	r := New(4, WithCacheCapacity(1))
+	r := New(4)
 	c := r.Cache()
+	c.SetCapacity(1)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan float64, 1)
@@ -125,8 +127,9 @@ func TestCacheCapacityConcurrent(t *testing.T) {
 	// Hammer a small LRU from many goroutines (run under -race in CI):
 	// no deadlock, no lost updates, and the bound holds at quiesce.
 	const capacity = 8
-	r := New(4, WithCacheCapacity(capacity))
+	r := New(4)
 	c := r.Cache()
+	c.SetCapacity(capacity)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -183,24 +186,9 @@ func TestCacheResetKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestWithCacheCapacityOptionOrder(t *testing.T) {
-	// The capacity must land on the final cache whichever way the
-	// options are ordered.
-	shared := NewCache()
-	for name, opts := range map[string][]Option{
-		"cap-then-cache": {WithCacheCapacity(4), WithCache(shared)},
-		"cache-then-cap": {WithCache(shared), WithCacheCapacity(4)},
-	} {
-		r := New(1, opts...)
-		if got := r.Cache().Capacity(); got != 4 {
-			t.Fatalf("%s: Capacity = %d, want 4", name, got)
-		}
-		shared.SetCapacity(0)
-	}
-}
-
 func TestCacheCapacityStatsCountEvictedRecompute(t *testing.T) {
-	r := New(1, WithCacheCapacity(1))
+	r := New(1)
+	r.Cache().SetCapacity(1)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 2; i++ {
 			if _, err := r.Memo(bg, Key{Bench: fmt.Sprintf("k%d", i)}, func() (CellResult, error) {
@@ -214,5 +202,68 @@ func TestCacheCapacityStatsCountEvictedRecompute(t *testing.T) {
 	// other key, so all four accesses are misses.
 	if st := r.Stats(); st.Misses != 4 || st.Hits != 0 {
 		t.Fatalf("Stats = %+v, want 4 misses / 0 hits under thrashing", st)
+	}
+}
+
+// TestCacheConcurrentCapacityResetMemo is the -race soak of the cache:
+// Memo traffic racing SetCapacity flips and Resets. Correctness bar: no
+// deadlock, no lost update (a Memo always returns its key's value),
+// bound respected exactly at quiesce.
+func TestCacheConcurrentCapacityResetMemo(t *testing.T) {
+	const capacity = 32
+	c := NewCache()
+	c.SetCapacity(capacity)
+	r := New(8, WithCache(c))
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				key := Key{Bench: "soak-storm", Size: (g*13 + i) % 96}
+				v, err := r.Memo(bg, key, func() (CellResult, error) {
+					return CellResult{Value: float64(key.Size)}, nil
+				})
+				if err != nil {
+					t.Errorf("Memo: %v", err)
+					return
+				}
+				if v != float64(key.Size) {
+					t.Errorf("Memo = %v, want %d (stale or clobbered cell)", v, key.Size)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 60; i++ {
+			c.SetCapacity(capacity / 2)
+			c.SetCapacity(capacity)
+			c.SetCapacity(0)
+			c.SetCapacity(capacity)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 30; i++ {
+			c.Reset()
+			_ = c.Len()
+		}
+	}()
+	wg.Wait()
+	// Re-establish the bound and fill: at quiesce the length must respect
+	// the capacity exactly.
+	c.SetCapacity(capacity)
+	for i := 0; i < 96; i++ {
+		if _, err := r.Memo(bg, Key{Bench: "soak-fill", Size: i}, func() (CellResult, error) {
+			return CellResult{Value: 1}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.Len(); got != capacity {
+		t.Fatalf("Len = %d at quiesce, want capacity %d", got, capacity)
 	}
 }

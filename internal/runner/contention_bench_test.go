@@ -14,12 +14,10 @@ import (
 // with a fresh miss every 16th call to keep the insert/evict path and
 // the semaphore hot.
 //
-//   - serial:  one worker, single-stripe cache — every call through one
-//     mutex (`toolbench -j 1`).
-//   - pooled:  GOMAXPROCS workers, still one cache mutex (a default
-//     session, `toolbench -j N`).
-//   - striped: GOMAXPROCS workers over a 16-stripe cache — the shape
-//     toolbenchd gives every tenant.
+//   - serial: one worker — every call through the one cache mutex
+//     (`toolbench -j 1`).
+//   - pooled: GOMAXPROCS workers over the same one cache mutex (a
+//     default session, `toolbench -j N`, and every toolbenchd tenant).
 func BenchmarkMemoContention(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -27,7 +25,6 @@ func BenchmarkMemoContention(b *testing.B) {
 	}{
 		{"serial", func() Executor { return New(1) }},
 		{"pooled", func() Executor { return New(0) }},
-		{"striped", func() Executor { return New(0, WithCache(NewStripedCache(0))) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			benchMemoContention(b, tc.mk())

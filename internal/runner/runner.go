@@ -148,12 +148,9 @@ type Runner struct {
 var _ Executor = (*Runner)(nil)
 
 // execConfig is the option state New resolves: which cache to memoize
-// into, what bound to put on it, and the per-cell completion callback.
+// into.
 type execConfig struct {
-	cache       *Cache
-	cacheCap    int
-	cacheCapSet bool
-	observe     Observer
+	cache *Cache
 }
 
 // Option configures a Runner under construction (see New).
@@ -170,24 +167,12 @@ func WithCache(c *Cache) Option {
 	}
 }
 
-// WithCacheCapacity bounds the executor's cache to at most n memoized
-// cells with LRU eviction (see Cache.SetCapacity). It applies to
-// whichever cache the executor ends up with — combined with WithCache
-// it (re)configures the shared cache.
-func WithCacheCapacity(n int) Option {
-	return func(cfg *execConfig) {
-		cfg.cacheCap, cfg.cacheCapSet = n, true
+// New returns a Runner executing at most workers simulations at once.
+// workers < 1 selects GOMAXPROCS.
+func New(workers int, opts ...Option) *Runner {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-}
-
-// WithObserver installs fn as the per-cell completion callback.
-func WithObserver(fn Observer) Option {
-	return func(cfg *execConfig) { cfg.observe = fn }
-}
-
-// resolve applies the options and materializes the cache: a fresh
-// single-stripe one when WithCache was not given.
-func resolve(opts []Option) execConfig {
 	var cfg execConfig
 	for _, opt := range opts {
 		opt(&cfg)
@@ -195,24 +180,10 @@ func resolve(opts []Option) execConfig {
 	if cfg.cache == nil {
 		cfg.cache = NewCache()
 	}
-	if cfg.cacheCapSet {
-		cfg.cache.SetCapacity(cfg.cacheCap)
-	}
-	return cfg
-}
-
-// New returns a Runner executing at most workers simulations at once.
-// workers < 1 selects GOMAXPROCS.
-func New(workers int, opts ...Option) *Runner {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := resolve(opts)
 	return &Runner{
 		workers: workers,
 		sem:     make(chan struct{}, workers),
 		cache:   cfg.cache,
-		observe: cfg.observe,
 	}
 }
 
@@ -226,8 +197,8 @@ func (r *Runner) Cache() *Cache { return r.cache }
 // shared).
 func (r *Runner) Stats() Stats { return r.cache.Stats() }
 
-// Observe installs fn as the per-cell completion callback (the Executor
-// form of WithObserver). Call it before submitting cells.
+// Observe installs fn as the per-cell completion callback. Call it
+// before submitting cells.
 func (r *Runner) Observe(fn Observer) { r.observe = fn }
 
 func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
@@ -263,7 +234,6 @@ func (r *Runner) notify(ctx context.Context, key Key, cached bool, err error) {
 // never cached.
 func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, error)) (float64, error) {
 	c := r.cache
-	st := c.stripeFor(key)
 	wait := func(e *entry) (float64, error) {
 		select {
 		case <-e.done:
@@ -278,12 +248,12 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	st.mu.Lock()
-	if e, ok := st.lookupLocked(key); ok {
-		st.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.lookupLocked(key); ok {
+		c.mu.Unlock()
 		return wait(e)
 	}
-	st.mu.Unlock()
+	c.mu.Unlock()
 
 	// Acquire the pool token before committing to compute, so a queued
 	// cell can still be cancelled. Another goroutine may have published
@@ -293,14 +263,14 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 	case <-ctx.Done():
 		return 0, ctx.Err()
 	}
-	st.mu.Lock()
-	if e, ok := st.lookupLocked(key); ok {
-		st.mu.Unlock()
+	c.mu.Lock()
+	if e, ok := c.lookupLocked(key); ok {
+		c.mu.Unlock()
 		<-r.sem
 		return wait(e)
 	}
-	e := st.insertLocked(key)
-	st.mu.Unlock()
+	e := c.insertLocked(key)
+	c.mu.Unlock()
 
 	// This call owns the in-flight entry. Before simulating, consult the
 	// durable second tier: a stored cell is a hit — deterministic, so the
@@ -337,7 +307,7 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 		switch {
 		case e.err == nil:
 			// Write the completed cell through to the durable tier —
-			// behind the stripe lock's critical section, so a disk append
+			// outside the cache lock's critical section, so a disk append
 			// never extends any lock hold.
 			if tier != nil {
 				tier.Fill(key, res)
@@ -348,7 +318,7 @@ func (r *Runner) Memo(ctx context.Context, key Key, compute func() (CellResult, 
 			// nothing about the cell — retract the entry so the next
 			// request re-simulates, and wake the coalesced waiters with
 			// the error. Nothing reaches the durable tier either.
-			st.remove(key, e)
+			c.remove(key, e)
 		}
 		<-r.sem
 		close(e.done)

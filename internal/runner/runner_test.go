@@ -204,11 +204,12 @@ func TestObserverSeesHitsAndMisses(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []event
-	r := New(1, WithObserver(func(_ context.Context, key Key, cached bool, err error) {
+	r := New(1)
+	r.Observe(func(_ context.Context, key Key, cached bool, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		events = append(events, event{key, cached})
-	}))
+	})
 	key := Key{Bench: "observed"}
 	for i := 0; i < 2; i++ {
 		if _, err := r.Memo(bg, key, func() (CellResult, error) { return CellResult{Value: 1}, nil }); err != nil {

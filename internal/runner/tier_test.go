@@ -270,7 +270,7 @@ func TestCacheResetAndSetCapacityConcurrentWithTierFills(t *testing.T) {
 	// Exercised under -race in CI: Reset and SetCapacity must be safe
 	// while Memos are being served from and written through to a tier.
 	tier := newFakeTier()
-	cache := NewStripedCache(8)
+	cache := NewCache()
 	cache.SetTier(tier)
 	r := New(8, WithCache(cache))
 	var wg sync.WaitGroup

@@ -9,7 +9,7 @@
 //
 // Each tenant gets its own tooleval.Session under a configured quota
 // tier (cell and virtual-time budgets, concurrent-job limit), while
-// every session memoizes into one shared striped cache — optionally
+// every session memoizes into one shared cache — optionally
 // backed by the durable result store — so concurrent tenants
 // requesting overlapping matrices deduplicate the simulation work.
 // Content-keyed memoization makes the sharing tenant-transparent:
@@ -60,8 +60,9 @@ type Config struct {
 	// Parallelism bounds each tenant session's concurrent simulations
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// CacheCapacity bounds the shared cache to n cells with LRU
-	// eviction (0 = unbounded).
+	// CacheCapacity bounds the shared cache to at most n completed
+	// cells with exact LRU eviction (0 = unbounded); only cells still in
+	// flight can briefly push it past n.
 	CacheCapacity int
 	// StoreDir attaches the durable result store in this directory to
 	// the shared cache ("" = memory only). The server owns the store

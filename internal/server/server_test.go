@@ -228,6 +228,36 @@ func TestSubmitJSONMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestCacheCapacityIsExact: -cache-cap n bounds the shared cache to n
+// completed cells, not n per lock segment, and evictions never change
+// a report's bytes — a rerun of the same batch re-simulates what was
+// evicted and answers identically.
+func TestCacheCapacityIsExact(t *testing.T) {
+	const capacity = 3
+	srv, ts := newTestServer(t, Config{CacheCapacity: capacity})
+	want := localReport(t, quickBatch)
+	for run := 0; run < 2; run++ {
+		resp := postJob(t, ts.URL, "alice", quickBatch)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d: %s", run, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("run %d: report under a bounded cache differs from local run:\nserver: %s\nlocal:  %s", run, body, want)
+		}
+		if got := srv.Cache().Len(); got > capacity {
+			t.Fatalf("run %d: shared cache holds %d cells, want <= -cache-cap %d", run, got, capacity)
+		}
+	}
+	if misses := srv.Cache().Stats().Misses; misses <= capacity {
+		t.Fatalf("simulated %d cells, want more than the capacity %d (the batch must overflow the bound)", misses, capacity)
+	}
+}
+
 // TestSubmitSSELifecycle checks the streaming path end to end: event
 // ordering and pairing, then report parity with a local run.
 func TestSubmitSSELifecycle(t *testing.T) {

@@ -13,7 +13,7 @@
 # anything after it) writes BENCH_PR9.json, seeded from the PR 6
 # ledger — each file carries the full seed..prN progression.
 #
-# The contention benchmark runs at -cpu 4 so the serial/pooled/striped
+# The contention benchmark runs at -cpu 4 so the serial/pooled
 # comparison actually contends even when GOMAXPROCS defaults low.
 #
 # Usage, from the repository root:

@@ -29,13 +29,6 @@ type Cache = runner.Cache
 // NewCache returns an empty cell cache for use with WithCache.
 func NewCache() *Cache { return runner.NewCache() }
 
-// NewStripedCache returns an empty cell cache split into 16
-// independently locked segments. Same sharing contract as NewCache;
-// prefer it when many concurrent sessions share one cache (a
-// multi-tenant server), where a single cache lock would serialize
-// them.
-func NewStripedCache() *Cache { return runner.NewStripedCache(0) }
-
 // Cell identifies one memoized simulation cell — one entry of the
 // paper's evaluation matrix.
 type Cell = runner.Key
@@ -80,8 +73,6 @@ type Session struct {
 type sessionConfig struct {
 	parallelism int
 	cache       *Cache
-	cacheCap    int
-	cacheCapSet bool
 	tools       map[string]Factory
 	sinks       []func(Event)
 	executor    Executor
@@ -165,17 +156,8 @@ func NewSession(opts ...Option) *Session {
 		if cfg.storeDir != "" {
 			panic("tooleval: WithResultStore conflicts with WithExecutor — the executor owns its cache; open the store with OpenResultStore and attach it to the executor's cache via SetTier instead")
 		}
-		// A capacity bound, by contrast, applies to whatever cache the
-		// executor carries.
-		if cfg.cacheCapSet {
-			x.Cache().SetCapacity(cfg.cacheCap)
-		}
 	} else {
-		ropts := []runner.Option{runner.WithCache(cfg.cache)}
-		if cfg.cacheCapSet {
-			ropts = append(ropts, runner.WithCacheCapacity(cfg.cacheCap))
-		}
-		x = runner.New(cfg.parallelism, ropts...)
+		x = runner.New(cfg.parallelism, runner.WithCache(cfg.cache))
 	}
 	if len(cfg.workers) > 0 && len(cfg.tools) > 0 {
 		// A custom factory exists only in this process's registry; a
@@ -359,23 +341,8 @@ func (s *Session) Run(ctx context.Context, platformKey, tool string, cfg RunConf
 	if err != nil {
 		return nil, err
 	}
-	return s.runBounded(ctx, pf, factory, cfg, body)
-}
-
-// RunWithFactory is Run for a one-off tool implementation that is not
-// registered in the session. Prefer WithTool, which also enables the
-// benchmark methods for the custom tool.
-func (s *Session) RunWithFactory(ctx context.Context, platformKey string, factory Factory, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
-	pf, err := platform.Get(platformKey)
-	if err != nil {
-		return nil, err
-	}
-	return s.runBounded(ctx, pf, factory, cfg, body)
-}
-
-func (s *Session) runBounded(ctx context.Context, pf Platform, factory Factory, cfg RunConfig, body func(*Ctx) (any, error)) (*RunResult, error) {
 	var res *RunResult
-	err := s.h.Executor().Do(ctx, func() error {
+	err = s.h.Executor().Do(ctx, func() error {
 		var err error
 		res, err = mpt.Run(pf, factory, cfg, body)
 		return err

@@ -106,8 +106,12 @@ func TestQuotaAppliesToDirectRuns(t *testing.T) {
 	}
 }
 
-func TestWithCacheCapacityBoundsSessionCache(t *testing.T) {
-	sess := tooleval.NewSession(tooleval.WithParallelism(1), tooleval.WithCacheCapacity(2))
+// TestSetCapacityBoundsSessionCache: a bound set on a cache before it
+// is handed to WithCache holds for every cell the session memoizes.
+func TestSetCapacityBoundsSessionCache(t *testing.T) {
+	cache := tooleval.NewCache()
+	cache.SetCapacity(2)
+	sess := tooleval.NewSession(tooleval.WithParallelism(1), tooleval.WithCache(cache))
 	sizes := []int{0, 1 << 10, 2 << 10, 4 << 10}
 	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", sizes); err != nil {
 		t.Fatal(err)
@@ -285,18 +289,22 @@ func TestWithExecutorRoutesEverything(t *testing.T) {
 	}
 }
 
-// TestWithExecutorAppliesCacheCapacity: a capacity bound must reach a
-// caller-supplied executor's cache instead of being silently dropped
-// (the executor cannot be rebuilt, but SetCapacity applies to any
-// cache).
+// TestWithExecutorAppliesCacheCapacity: a bound the caller set on a
+// supplied executor's cache is the session's bound — NewSession keeps
+// that cache, and a sweep through the session evicts down to it.
 func TestWithExecutorAppliesCacheCapacity(t *testing.T) {
 	x := runner.New(2)
-	sess := tooleval.NewSession(tooleval.WithExecutor(x), tooleval.WithCacheCapacity(5))
-	if got := x.Cache().Capacity(); got != 5 {
-		t.Fatalf("executor cache capacity = %d, want 5 (WithCacheCapacity applied)", got)
+	x.Cache().SetCapacity(2)
+	sess := tooleval.NewSession(tooleval.WithExecutor(x))
+	if got := sess.Cache().Capacity(); got != 2 {
+		t.Fatalf("session cache capacity = %d, want the executor's 2", got)
 	}
-	if sess.Cache().Capacity() != 5 {
-		t.Fatalf("session cache capacity = %d, want 5", sess.Cache().Capacity())
+	sizes := []int{0, 1 << 10, 2 << 10, 4 << 10}
+	if _, err := sess.PingPong(context.Background(), "sun-ethernet", "p4", sizes); err != nil {
+		t.Fatal(err)
+	}
+	if got := x.Cache().Len(); got != 2 {
+		t.Fatalf("executor cache holds %d cells, want the capacity 2", got)
 	}
 }
 
@@ -320,24 +328,4 @@ func TestWithExecutorConflictsPanic(t *testing.T) {
 	mustPanic("WithCache+WithExecutor", func() {
 		tooleval.NewSession(tooleval.WithExecutor(runner.New(1)), tooleval.WithCache(tooleval.NewCache()))
 	})
-}
-
-// TestStripedCacheSharedAcrossSessions: a striped cache (the shape a
-// multi-tenant server shares) pools results between sessions of
-// different parallelism exactly like the single-stripe default.
-func TestStripedCacheSharedAcrossSessions(t *testing.T) {
-	ctx := context.Background()
-	cache := tooleval.NewStripedCache()
-	sizes := []int{0, 2 << 10}
-	first := tooleval.NewSession(tooleval.WithParallelism(4), tooleval.WithCache(cache))
-	if _, err := first.PingPong(ctx, "sun-ethernet", "p4", sizes); err != nil {
-		t.Fatal(err)
-	}
-	pooled := tooleval.NewSession(tooleval.WithParallelism(2), tooleval.WithCache(cache))
-	if _, err := pooled.PingPong(ctx, "sun-ethernet", "p4", sizes); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := pooled.Stats(); misses != int64(len(sizes)) || hits != int64(len(sizes)) {
-		t.Fatalf("shared striped cache stats = %d hits / %d misses, want %d/%d", hits, misses, len(sizes), len(sizes))
-	}
 }
