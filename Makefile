@@ -5,7 +5,7 @@ GO ?= go
 # version requires.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz bench-smoke bench-baseline
+.PHONY: build test vet toolvet lint examples toolbenchd-smoke remote-smoke chaos fuzz bench-smoke bench-baseline loc
 
 build:
 	$(GO) build ./...
@@ -83,3 +83,9 @@ bench-smoke:
 # scripts/record_bench.sh).
 bench-baseline:
 	./scripts/record_bench.sh pr9
+
+# loc counts the tracked non-test Go lines outside perfbench/ and
+# testdata/ — the figure ROADMAP tracks next to perf numbers. Tracked
+# files only, so build caches such as .bench_build/ never count.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^perfbench/' | grep -v '/testdata/' | xargs cat | wc -l

@@ -1,6 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
 // evaluation section (run with `go test -bench=. -benchmem`), plus the
-// ablation studies of the design choices called out in DESIGN.md §6.
+// BenchmarkAblation* studies of the simulator's design choices.
 //
 // Simulated (virtual) milliseconds are reported as custom metrics
 // (sim-ms-*); the Go benchmark time measures the simulator itself.
@@ -193,7 +193,7 @@ func BenchmarkADLEvaluation(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §6) ------------------------------------
+// --- ablation benches -----------------------------------------------------
 
 func pingPong64K(b *testing.B, pf platform.Platform, factory mpt.Factory) float64 {
 	b.Helper()

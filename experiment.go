@@ -3,6 +3,8 @@ package tooleval
 import (
 	"context"
 	"fmt"
+
+	"tooleval/internal/apps"
 )
 
 // Experiment kinds accepted by ExperimentSpec.Kind.
@@ -132,6 +134,9 @@ func (spec ExperimentSpec) validate() error {
 	case KindApp:
 		if spec.App == "" {
 			return fmt.Errorf("%s: App required", spec.Kind)
+		}
+		if _, err := apps.Get(spec.App); err != nil {
+			return fmt.Errorf("%s: %w", spec.Kind, err)
 		}
 		if len(spec.ProcsList) == 0 {
 			return fmt.Errorf("%s: ProcsList required", spec.Kind)

@@ -40,6 +40,8 @@ func TestValidateErrorPaths(t *testing.T) {
 		{"globalsum no sizes", clearSizes, KindGlobalSum, "globalsum: Sizes required"},
 		{"globalsum procs 0", clearProcs, KindGlobalSum, "globalsum: Procs = 0, need >= 2"},
 		{"app no app", func(s ExperimentSpec) ExperimentSpec { s.App = ""; return s }, KindApp, "app: App required"},
+		{"app in table 2 only", func(s ExperimentSpec) ExperimentSpec { s.App = "matmul"; return s }, KindApp, "unknown application"},
+		{"app unknown app", func(s ExperimentSpec) ExperimentSpec { s.App = "nonexistent"; return s }, KindApp, "unknown application"},
 		{"app no procslist", func(s ExperimentSpec) ExperimentSpec { s.ProcsList = nil; return s }, KindApp, "app: ProcsList required"},
 		{"app zero scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = 0; return s }, KindApp, "app: Scale = 0, need > 0"},
 		{"app negative scale", func(s ExperimentSpec) ExperimentSpec { s.Scale = -1; return s }, KindApp, "app: Scale = -1, need > 0"},

@@ -1,31 +1,19 @@
-// Package apps is the registry of the SU PDABS benchmark applications
-// (Table 2 of the paper). The four applications benchmarked in §3.3 —
-// JPEG compression, 2D-FFT, Monte Carlo integration, and Parallel
-// Sorting by Regular Sampling — are first-class: each has a sequential
-// reference, a parallel SPMD implementation over the mpt.Comm interface,
-// and a verifier that checks the distributed run against the reference.
+// Package apps is the registry of the four applications the paper
+// benchmarks in §3.3: JPEG compression, 2D-FFT, Monte Carlo
+// integration, and Parallel Sorting by Regular Sampling. Each has a
+// sequential reference, a parallel SPMD implementation over the
+// mpt.Comm interface, and a verifier that checks the distributed run
+// against the reference. The full SU PDABS catalog of Table 2 is
+// paperdata.SuiteTable2.
 package apps
 
 import (
 	"fmt"
 
-	"tooleval/internal/apps/dmake"
 	"tooleval/internal/apps/fft"
-	"tooleval/internal/apps/hough"
 	"tooleval/internal/apps/jpeg"
-	"tooleval/internal/apps/knapsack"
-	"tooleval/internal/apps/linsolve"
-	"tooleval/internal/apps/lu"
-	"tooleval/internal/apps/lzw"
-	"tooleval/internal/apps/matmul"
 	"tooleval/internal/apps/montecarlo"
-	"tooleval/internal/apps/nbody"
-	"tooleval/internal/apps/psearch"
 	"tooleval/internal/apps/psrs"
-	"tooleval/internal/apps/raytrace"
-	"tooleval/internal/apps/spellcheck"
-	"tooleval/internal/apps/tsp"
-	"tooleval/internal/apps/vigenere"
 	"tooleval/internal/mpt"
 )
 
@@ -45,7 +33,8 @@ type App struct {
 	// against the sequential reference. The references of jpeg and psrs
 	// are computed once per (app, scale) and shared by every check.
 	Verify func(value any, procs int, scale float64) error
-	// MinProcsDivisor constrains processor counts (FFT needs N%p == 0).
+	// ValidProcs reports whether the app runs on p processors (FFT
+	// needs N%p == 0).
 	ValidProcs func(p int) bool
 }
 
@@ -139,234 +128,9 @@ func Registry() []App {
 	}
 }
 
-// anyProcs accepts any processor count.
-func anyProcs(p int) bool { return p >= 1 }
-
-// ExtendedRegistry returns the full SU PDABS suite: the four benchmarked
-// applications plus the rest of Table 2 (matrix multiplication, LU
-// decomposition, linear equation solver, N-body, traveling salesman /
-// branch and bound, Hough transform, ray tracing, data compression,
-// cryptology, parallel search, distributed spell checker, distributed
-// make). The paper's ADA-compiler entry is the one member not built: a
-// compiler front-end adds no message-passing behaviour the distributed
-// make does not already exercise (see DESIGN.md).
-func ExtendedRegistry() []App {
-	ext := []App{
-		{
-			Name:        "matmul",
-			Class:       "Numerical Algorithms",
-			Description: "Dense matrix multiplication, row bands + broadcast B",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return matmul.Parallel(ctx, matmul.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*matmul.Result)
-				if !ok {
-					return fmt.Errorf("matmul: unexpected result type %T", v)
-				}
-				return matmul.VerifyAgainstSequential(matmul.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "lu",
-			Class:       "Numerical Algorithms",
-			Description: "LU decomposition, cyclic rows + pivot-row broadcast",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return lu.Parallel(ctx, lu.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*lu.Result)
-				if !ok {
-					return fmt.Errorf("lu: unexpected result type %T", v)
-				}
-				return lu.VerifyAgainstSequential(lu.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "linsolve",
-			Class:       "Numerical Algorithms",
-			Description: "Jacobi linear equation solver, iterate re-broadcast per sweep",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return linsolve.Parallel(ctx, linsolve.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*linsolve.Result)
-				if !ok {
-					return fmt.Errorf("linsolve: unexpected result type %T", v)
-				}
-				return linsolve.VerifyAgainstSequential(linsolve.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "nbody",
-			Class:       "Simulation/Optimization",
-			Description: "Direct O(n²) N-body with systolic ring circulation",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return nbody.Parallel(ctx, nbody.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*nbody.Result)
-				if !ok {
-					return fmt.Errorf("nbody: unexpected result type %T", v)
-				}
-				return nbody.VerifyAgainstSequential(nbody.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "tsp",
-			Class:       "Simulation/Optimization",
-			Description: "Exact TSP by branch and bound, first-hop branches partitioned",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return tsp.Parallel(ctx, tsp.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*tsp.Result)
-				if !ok {
-					return fmt.Errorf("tsp: unexpected result type %T", v)
-				}
-				return tsp.VerifyAgainstSequential(tsp.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "knapsack",
-			Class:       "Simulation/Optimization",
-			Description: "0/1 knapsack by branch and bound, top subtrees partitioned",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return knapsack.Parallel(ctx, knapsack.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*knapsack.Result)
-				if !ok {
-					return fmt.Errorf("knapsack: unexpected result type %T", v)
-				}
-				return knapsack.VerifyAgainstSequential(knapsack.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "hough",
-			Class:       "Signal/Image Processing",
-			Description: "Hough line transform, row bands + accumulator reduction",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return hough.Parallel(ctx, hough.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*hough.Result)
-				if !ok {
-					return fmt.Errorf("hough: unexpected result type %T", v)
-				}
-				return hough.VerifyAgainstSequential(hough.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "raytrace",
-			Class:       "Signal/Image Processing",
-			Description: "Recursive ray tracer, scan-line bands",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return raytrace.Parallel(ctx, raytrace.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*raytrace.Result)
-				if !ok {
-					return fmt.Errorf("raytrace: unexpected result type %T", v)
-				}
-				return raytrace.VerifyAgainstSequential(raytrace.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "lzw",
-			Class:       "Signal/Image Processing",
-			Description: "LZW data compression, block-parallel",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return lzw.Parallel(ctx, lzw.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*lzw.Result)
-				if !ok {
-					return fmt.Errorf("lzw: unexpected result type %T", v)
-				}
-				return lzw.VerifyAgainstSequential(lzw.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "vigenere",
-			Class:       "Numerical Algorithms",
-			Description: "Vigenère cryptanalysis, key-length space partitioned",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return vigenere.Parallel(ctx, vigenere.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*vigenere.Result)
-				if !ok {
-					return fmt.Errorf("vigenere: unexpected result type %T", v)
-				}
-				return vigenere.VerifyAgainstSequential(vigenere.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "psearch",
-			Class:       "Utilities",
-			Description: "Boyer-Moore-Horspool parallel text search with overlap chunks",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return psearch.Parallel(ctx, psearch.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*psearch.Result)
-				if !ok {
-					return fmt.Errorf("psearch: unexpected result type %T", v)
-				}
-				return psearch.VerifyAgainstSequential(psearch.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "spellcheck",
-			Class:       "Utilities",
-			Description: "Distributed spell checker: dictionary broadcast + chunk check",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return spellcheck.Parallel(ctx, spellcheck.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*spellcheck.Result)
-				if !ok {
-					return fmt.Errorf("spellcheck: unexpected result type %T", v)
-				}
-				return spellcheck.VerifyAgainstSequential(spellcheck.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-		{
-			Name:        "dmake",
-			Class:       "Utilities",
-			Description: "Distributed make: master/worker DAG build with dynamic dispatch",
-			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
-				return dmake.Parallel(ctx, dmake.DefaultConfig().Scaled(scale))
-			},
-			Verify: func(v any, procs int, scale float64) error {
-				res, ok := v.(*dmake.Result)
-				if !ok {
-					return fmt.Errorf("dmake: unexpected result type %T", v)
-				}
-				return dmake.VerifyAgainstSequential(dmake.DefaultConfig().Scaled(scale), res)
-			},
-			ValidProcs: anyProcs,
-		},
-	}
-	return append(Registry(), ext...)
-}
-
-// Get returns the named application from the extended registry.
+// Get returns the named benchmarked application.
 func Get(name string) (App, error) {
-	for _, a := range ExtendedRegistry() {
+	for _, a := range Registry() {
 		if a.Name == name {
 			return a, nil
 		}
@@ -377,16 +141,6 @@ func Get(name string) (App, error) {
 // Names lists the benchmarked (paper §3.3) application keys in order.
 func Names() []string {
 	reg := Registry()
-	out := make([]string, len(reg))
-	for i, a := range reg {
-		out[i] = a.Name
-	}
-	return out
-}
-
-// ExtendedNames lists every suite application key.
-func ExtendedNames() []string {
-	reg := ExtendedRegistry()
 	out := make([]string, len(reg))
 	for i, a := range reg {
 		out[i] = a.Name

@@ -37,8 +37,8 @@ type Params struct {
 	HeaderBytes int
 }
 
-// DefaultParams holds the calibrated constants (see EXPERIMENTS.md for
-// the fit against Table 3).
+// DefaultParams holds the calibrated constants (TestTable3AgainstPaper
+// in internal/bench gates their fit against Table 3).
 func DefaultParams() Params {
 	return Params{
 		SendFixedOps:   5200,

@@ -2,8 +2,9 @@
 // experimentation environment (§3.1): host CPU models and the network
 // fabric each configuration uses. Calibration constants (instruction
 // rates, memory bandwidth) are chosen so that the simulated results land
-// in the same regime as the paper's measurements; EXPERIMENTS.md records
-// the paper-vs-measured comparison.
+// in the same regime as the paper's measurements; TestTable3AgainstPaper
+// and TestAPLCalibrationReport in internal/bench check and print the
+// paper-vs-measured comparison.
 package platform
 
 import (

@@ -375,7 +375,10 @@ func (p *flakyProxy) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // computed exactly once on a surviving worker, with values identical
 // to a no-failure run.
 func TestChaosWorkerLoss(t *testing.T) {
-	keys := testKeys(60)
+	const (
+		threshold = 2 // consecutive failures that eject a node
+		slots     = 8 // concurrent cell RPCs (the coordinator's pool)
+	)
 	for _, seed := range []int64{1, 3, 7, 13} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			cc := newCountingCompute()
@@ -388,11 +391,42 @@ func TestChaosWorkerLoss(t *testing.T) {
 			s1 := startWorker(t, cc.compute)
 			s2 := startWorker(t, cc.compute)
 
-			r, err := New([]string{doomed.URL, s1.URL, s2.URL}, runner.New(8),
-				WithNodeBreaker(2, time.Hour, time.Hour)) // ejected stays ejected for the test's lifetime
+			r, err := New([]string{doomed.URL, s1.URL, s2.URL}, runner.New(slots),
+				WithNodeBreaker(threshold, time.Hour, time.Hour)) // ejected stays ejected for the test's lifetime
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Rendezvous hashes the node URLs, which carry httptest's
+			// ephemeral ports, so the doomed node's share of a fixed key
+			// set varies from run to run. Choose the keys so that it is
+			// always ejected: after its `seed` good RPCs, up to slots-1
+			// of them may still be in flight, and each one's success
+			// resets the consecutive-failure count. It takes
+			// slots*(threshold-1)+1 failures to eject it whatever the
+			// interleaving.
+			need := int(seed) + slots*(threshold-1) + 1
+			// testKeys repeats after lcm(3, 8, 5) = 120 keys; a second
+			// scale doubles the pool of distinct keys.
+			pool := testKeys(120)
+			for _, k := range pool[:120] {
+				k.Scale = 0.5
+				pool = append(pool, k)
+			}
+			own := owners(r, pool)
+			var mine, rest []runner.Key
+			for _, k := range pool {
+				if own[k] == doomed.URL {
+					mine = append(mine, k)
+				} else {
+					rest = append(rest, k)
+				}
+			}
+			if len(mine) < need {
+				t.Fatalf("doomed node owns %d of %d pool keys, need %d", len(mine), len(pool), need)
+			}
+			// 60 keys: the doomed node's natural share, topped up to need.
+			n := max(len(mine)*60/len(pool), need)
+			keys := append(mine[:n:n], rest[:60-n]...)
 			var wg sync.WaitGroup
 			errs := make([]error, len(keys))
 			vals := make([]float64, len(keys))
