@@ -3,8 +3,9 @@
 // integration, and Parallel Sorting by Regular Sampling. Each has a
 // sequential reference, a parallel SPMD implementation over the
 // mpt.Comm interface, and a verifier that checks the distributed run
-// against the reference. The full SU PDABS catalog of Table 2 is
-// paperdata.SuiteTable2.
+// against the reference. ExtendedRegistry adds five more SU PDABS
+// applications, one or more from each Table 2 class; the full Table 2
+// catalog is paperdata.SuiteTable2.
 package apps
 
 import (
@@ -12,8 +13,13 @@ import (
 
 	"tooleval/internal/apps/fft"
 	"tooleval/internal/apps/jpeg"
+	"tooleval/internal/apps/lzw"
 	"tooleval/internal/apps/montecarlo"
+	"tooleval/internal/apps/nbody"
+	"tooleval/internal/apps/psearch"
 	"tooleval/internal/apps/psrs"
+	"tooleval/internal/apps/raytrace"
+	"tooleval/internal/apps/vigenere"
 	"tooleval/internal/mpt"
 )
 
@@ -128,9 +134,102 @@ func Registry() []App {
 	}
 }
 
-// Get returns the named benchmarked application.
+// anyProcs accepts any processor count.
+func anyProcs(p int) bool { return p >= 1 }
+
+// ExtendedRegistry returns the four benchmarked applications plus five
+// more SU PDABS applications from Table 2: N-body, ray tracing, data
+// compression, cryptology and parallel search. No paper experiment runs
+// them; an app spec or remote cell may name them.
+func ExtendedRegistry() []App {
+	ext := []App{
+		{
+			Name:        "nbody",
+			Class:       "Simulation/Optimization",
+			Description: "Direct O(n²) N-body with systolic ring circulation",
+			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
+				return nbody.Parallel(ctx, nbody.DefaultConfig().Scaled(scale))
+			},
+			Verify: func(v any, procs int, scale float64) error {
+				res, ok := v.(*nbody.Result)
+				if !ok {
+					return fmt.Errorf("nbody: unexpected result type %T", v)
+				}
+				return nbody.VerifyAgainstSequential(nbody.DefaultConfig().Scaled(scale), res)
+			},
+			ValidProcs: anyProcs,
+		},
+		{
+			Name:        "raytrace",
+			Class:       "Signal/Image Processing",
+			Description: "Recursive ray tracer, scan-line bands",
+			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
+				return raytrace.Parallel(ctx, raytrace.DefaultConfig().Scaled(scale))
+			},
+			Verify: func(v any, procs int, scale float64) error {
+				res, ok := v.(*raytrace.Result)
+				if !ok {
+					return fmt.Errorf("raytrace: unexpected result type %T", v)
+				}
+				return raytrace.VerifyAgainstSequential(raytrace.DefaultConfig().Scaled(scale), res)
+			},
+			ValidProcs: anyProcs,
+		},
+		{
+			Name:        "lzw",
+			Class:       "Signal/Image Processing",
+			Description: "LZW data compression, block-parallel",
+			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
+				return lzw.Parallel(ctx, lzw.DefaultConfig().Scaled(scale))
+			},
+			Verify: func(v any, procs int, scale float64) error {
+				res, ok := v.(*lzw.Result)
+				if !ok {
+					return fmt.Errorf("lzw: unexpected result type %T", v)
+				}
+				return lzw.VerifyAgainstSequential(lzw.DefaultConfig().Scaled(scale), res)
+			},
+			ValidProcs: anyProcs,
+		},
+		{
+			Name:        "vigenere",
+			Class:       "Numerical Algorithms",
+			Description: "Vigenère cryptanalysis, key-length space partitioned",
+			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
+				return vigenere.Parallel(ctx, vigenere.DefaultConfig().Scaled(scale))
+			},
+			Verify: func(v any, procs int, scale float64) error {
+				res, ok := v.(*vigenere.Result)
+				if !ok {
+					return fmt.Errorf("vigenere: unexpected result type %T", v)
+				}
+				return vigenere.VerifyAgainstSequential(vigenere.DefaultConfig().Scaled(scale), res)
+			},
+			ValidProcs: anyProcs,
+		},
+		{
+			Name:        "psearch",
+			Class:       "Utilities",
+			Description: "Boyer-Moore-Horspool parallel text search with overlap chunks",
+			Run: func(ctx *mpt.Ctx, scale float64) (any, error) {
+				return psearch.Parallel(ctx, psearch.DefaultConfig().Scaled(scale))
+			},
+			Verify: func(v any, procs int, scale float64) error {
+				res, ok := v.(*psearch.Result)
+				if !ok {
+					return fmt.Errorf("psearch: unexpected result type %T", v)
+				}
+				return psearch.VerifyAgainstSequential(psearch.DefaultConfig().Scaled(scale), res)
+			},
+			ValidProcs: anyProcs,
+		},
+	}
+	return append(Registry(), ext...)
+}
+
+// Get returns the named application from the extended registry.
 func Get(name string) (App, error) {
-	for _, a := range Registry() {
+	for _, a := range ExtendedRegistry() {
 		if a.Name == name {
 			return a, nil
 		}
